@@ -19,25 +19,39 @@ the real experiment features:
   Feature extraction dominates this path, so the asserted floor is modest;
   the absolute windows/second of both chains are recorded.
 
+* **R-peak detector** — the streaming Pan–Tompkins detector (local-maxima
+  walk, batched refinement, band-pass filtering of only the walked span)
+  against its loop oracle from ``tests/oracles.py`` (per-sample threshold
+  scan, per-peak refinement, whole-buffer filtering) on one raw-ECG stream
+  in 4 s frames at 64 and 128 Hz.  Identical beats; ns/sample and speedup
+  of both are recorded.
+
 ``BENCH_hotpath.json`` next to this file is the committed per-commit record.
-The kernel bench refuses to pass when the measured speedup falls more than
-20% below the committed record, so a regression that erodes the fused path
-fails CI even while still above the absolute 10x bar.
+The kernel and detector benches refuse to pass when the measured speedup
+falls more than 20% below the committed record, so a regression that erodes
+the fast path fails CI even while still above its absolute bar.
 """
 
 import gc
 import json
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 
+from repro.dsp import peaks
 from repro.features.extractor import FeatureExtractor
 from repro.profile import _synth_beat_chunks
 from repro.quant import QuantizationConfig, QuantizedSVM
 from repro.serving import PendingWindow, classify_windows
+from repro.signals.ecg_model import ECGWaveformParams, synthesize_ecg
+from repro.signals.respiration import generate_respiration
+from repro.signals.rr_model import RRModelParams, generate_rr_series
 from repro.signals.windows import StreamingWindower, WindowingParams
 from repro.svm.model import train_svm
+from tests.oracles import FullBufferDetector, scan_and_refine
 
 from benchmarks.conftest import run_once
 
@@ -52,6 +66,10 @@ E2E_PATIENTS = 8
 E2E_DURATION_S = 480.0
 E2E_WINDOW_S = 60.0
 E2E_STEP_S = 15.0
+
+#: Detector workload: one patient's raw ECG, streamed in 4 s frames.
+DETECTOR_DURATION_S = 600.0
+DETECTOR_FRAME_S = 4.0
 
 #: Committed per-commit speedup record (see module docstring).
 HOTPATH_RECORD = Path(__file__).with_name("BENCH_hotpath.json")
@@ -276,3 +294,80 @@ def test_bench_hotpath_end_to_end(benchmark, experiment_data):
     # percent with allocator/cache state left by earlier benches, hence the
     # slack.  The kernel bench above carries the 10x bar.
     assert speedup >= 1.02
+
+
+def _detect_stream(ecg, fs, frame, detector_cls):
+    detector = detector_cls(fs)
+    beats = [detector.process(ecg[lo : lo + frame])[0] for lo in range(0, ecg.size, frame)]
+    beats.append(detector.flush()[0])
+    return np.concatenate(beats)
+
+
+def _measure_detector(ecg, fs, frame, repeats=15):
+    """Best-of-N interleaved timing: the loop oracle vs the streaming detector."""
+
+    def oracle():
+        with mock.patch.object(peaks, "_walk_and_refine", scan_and_refine):
+            return _detect_stream(ecg, fs, frame, FullBufferDetector)
+
+    def fast():
+        return _detect_stream(ecg, fs, frame, peaks.StreamingPeakDetector)
+
+    oracle()
+    fast()
+    best_oracle = best_fast = float("inf")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            oracle_beats = oracle()
+            best_oracle = min(best_oracle, time.perf_counter() - t0)
+
+            t0 = time.perf_counter()
+            fast_beats = fast()
+            best_fast = min(best_fast, time.perf_counter() - t0)
+    finally:
+        gc.enable()
+    return oracle_beats, fast_beats, best_oracle, best_fast
+
+
+@pytest.mark.parametrize("fs", [64.0, 128.0])
+def test_bench_hotpath_detector(benchmark, fs):
+    rng = np.random.default_rng(2024)
+    respiration = generate_respiration(DETECTOR_DURATION_S, [], rng)
+    series = generate_rr_series(DETECTOR_DURATION_S, [], respiration, rng, RRModelParams())
+    ecg = synthesize_ecg(
+        series.beat_times_s, DETECTOR_DURATION_S, respiration, rng, ECGWaveformParams(fs=fs)
+    ).ecg_mv
+    frame = int(DETECTOR_FRAME_S * fs)
+
+    oracle_beats, fast_beats, t_oracle, t_fast = run_once(
+        benchmark, _measure_detector, ecg, fs, frame
+    )
+
+    speedup = t_oracle / t_fast
+    oracle_ns = t_oracle / ecg.size * 1e9
+    fast_ns = t_fast / ecg.size * 1e9
+    print()
+    print("samples streamed          : %d  (%g Hz, %d-sample frames)" % (ecg.size, fs, frame))
+    print("per-sample oracle scan    : %8.0f ns/sample" % oracle_ns)
+    print("local-maxima walk         : %8.0f ns/sample  (%.2fx)" % (fast_ns, speedup))
+    benchmark.extra_info["samples"] = ecg.size
+    benchmark.extra_info["oracle_ns_per_sample"] = oracle_ns
+    benchmark.extra_info["ns_per_sample"] = fast_ns
+    benchmark.extra_info["speedup"] = speedup
+
+    # Beat for beat: the detector must find exactly the oracle's beats.
+    assert np.array_equal(oracle_beats, fast_beats)
+    assert fast_beats.size > DETECTOR_DURATION_S / 2  # at least one beat per 2 s
+
+    # Regression gate against the committed record.
+    if HOTPATH_RECORD.exists():
+        record = json.loads(HOTPATH_RECORD.read_text())["detector"]["%dhz" % fs]
+        floor = RECORD_SLACK * record["speedup"]
+        assert speedup >= floor, (
+            "detector speedup %.2fx at %g Hz regressed more than 20%% below the "
+            "committed record (%.2fx); update benchmarks/BENCH_hotpath.json "
+            "only with a justified trade-off" % (speedup, fs, record["speedup"])
+        )

@@ -13,6 +13,8 @@ feature-extraction stage relies on:
   Yule–Walker), used for features 16–24 of the paper.
 * :mod:`repro.dsp.psd` — Welch power spectral density estimation, used for
   features 25–53 and for the HRV LF/HF analysis.
+* :mod:`repro.dsp.moments` — bit-exact ufunc-level ``np.mean`` /
+  ``np.std(ddof=1)`` for the per-window HRV and Lorenz statistics.
 """
 
 from repro.dsp.filters import detrend, difference, moving_average, bandpass_fir, apply_fir

@@ -18,6 +18,7 @@ Two entry points are provided:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -76,9 +77,90 @@ def _design_qrs_bandpass(
 
 
 def _integrated_energy(filtered: np.ndarray, integration_width: int) -> np.ndarray:
-    """Differentiate, square and integrate the band-passed signal."""
-    derivative = np.gradient(filtered)
+    """Differentiate, square and integrate the band-passed signal.
+
+    The derivative is ``np.gradient(filtered)`` written out: central
+    differences halved in the interior, one-sided differences at the edges —
+    the same operations, without ``np.gradient``'s per-call set-up.
+    """
+    if filtered.size < 2:
+        derivative = np.gradient(filtered)  # ValueError: too few samples
+    else:
+        derivative = np.empty(filtered.size)
+        np.subtract(filtered[2:], filtered[:-2], out=derivative[1:-1])
+        derivative[1:-1] /= 2.0
+        derivative[0] = filtered[1] - filtered[0]
+        derivative[-1] = filtered[-1] - filtered[-2]
     return moving_average(derivative**2, max(integration_width, 1))
+
+
+def _seed_level(energy: np.ndarray) -> Optional[float]:
+    """Initial adaptive level: the 98th percentile of the *finite* energy.
+
+    A NaN or inf sample poisons the filtered energy around it; seeding from
+    it would leave the level (and so the threshold) NaN for good.  ``None``
+    when no finite energy is left to seed from.
+    """
+    finite = energy[np.isfinite(energy)]
+    return float(np.percentile(finite, 98)) if finite.size else None
+
+
+def _walk_and_refine(
+    energy: np.ndarray,
+    filtered: np.ndarray,
+    start: int,
+    end: int,
+    level: float,
+    params: PanTompkinsParams,
+    refractory: int,
+    half_refine: int,
+) -> Tuple[np.ndarray, float]:
+    """Adaptive-threshold walk over ``energy[start:end]``, then refinement.
+
+    A sample fires when it exceeds ``threshold_fraction * level`` and is a
+    local maximum (``>=`` both neighbours); each firing pulls the level
+    towards the peak and blocks the next ``refractory`` samples.  Only local
+    maxima can fire and the threshold moves only when one does, so walking
+    the local maxima alone fires exactly the samples a per-sample scan
+    fires.  Non-finite energy never fires: NaN fails every comparison, and an
+    infinite peak (an inf sample, or overflow) would drag the level to inf
+    and silence the detector for good.  Every fired candidate is then moved
+    to the maximum of ``filtered`` within ``half_refine`` samples (first
+    maximum on ties), all candidates in one gather and one ``argmax``.
+
+    Returns the refined positions (in candidate order) and the updated level.
+    """
+    start = max(start, 1)
+    end = min(end, energy.size - 1)
+    if end <= start:
+        return np.empty(0, dtype=int), level
+    centre = energy[start:end]
+    is_max = (centre >= energy[start - 1 : end - 1]) & (centre >= energy[start + 1 : end + 1])
+    maxima = is_max.nonzero()[0]
+    fraction = params.threshold_fraction
+    memory = params.level_memory
+    threshold = fraction * level
+    fired = []
+    blocked_until = 0
+    for i, value in zip(maxima.tolist(), centre[maxima].tolist()):
+        if i >= blocked_until and threshold < value < math.inf:
+            fired.append(i)
+            level += (value - level) / memory
+            threshold = fraction * level
+            blocked_until = i + refractory
+    if not fired:
+        return np.empty(0, dtype=int), level
+    candidates = np.asarray(fired, dtype=int) + start
+    # Row k is filtered[c - half : c + half + 1] around candidate c, read
+    # from a copy padded with -inf so that positions past either end of the
+    # signal never win the argmax.
+    edge = np.full(half_refine, -np.inf)
+    padded = np.concatenate((edge, filtered, edge))
+    rows = padded[candidates[:, None] + np.arange(2 * half_refine + 1)]
+    refined = candidates - half_refine + rows.argmax(axis=1)
+    # An all -inf window ties with the padding; its first real sample wins,
+    # as in a slice.
+    return np.maximum(refined, 0), level
 
 
 def detect_r_peaks(
@@ -113,38 +195,25 @@ def detect_r_peaks(
     # 2. Differentiate, square, integrate.
     integrated = _integrated_energy(filtered, int(params.integration_window_s * fs))
 
-    # 3. Adaptive threshold with refractory period.
+    # 3. Adaptive threshold with refractory period; 4. refine each peak to
+    # the local maximum of the filtered ECG.
     refractory = max(int(params.refractory_s * fs), 1)
-    level = float(np.percentile(integrated, 98))
-    threshold = params.threshold_fraction * level
-    peaks = []
-    i = 1
-    n = integrated.size
-    while i < n - 1:
-        if (
-            integrated[i] > threshold
-            and integrated[i] >= integrated[i - 1]
-            and integrated[i] >= integrated[i + 1]
-        ):
-            peaks.append(i)
-            # Update the running level and threshold.
-            level += (integrated[i] - level) / params.level_memory
-            threshold = params.threshold_fraction * level
-            i += refractory
-        else:
-            i += 1
-
-    if not peaks:
+    level = _seed_level(integrated)
+    if level is None:
         return np.empty(0, dtype=int), np.empty(0)
-
-    # 4. Refine each peak to the local maximum of the filtered ECG.
-    half = int(params.refine_half_window_s * fs)
-    refined = []
-    for p in peaks:
-        lo = max(0, p - half)
-        hi = min(ecg.size, p + half + 1)
-        refined.append(lo + int(np.argmax(filtered[lo:hi])))
-    refined_arr = np.asarray(sorted(set(refined)), dtype=int)
+    refined, _ = _walk_and_refine(
+        integrated,
+        filtered,
+        1,
+        integrated.size - 1,
+        level,
+        params,
+        refractory,
+        int(params.refine_half_window_s * fs),
+    )
+    if not refined.size:
+        return np.empty(0, dtype=int), np.empty(0)
+    refined_arr = np.unique(refined)
 
     # Drop refined peaks that collapsed onto each other within the refractory
     # period (keep the larger one).
@@ -232,6 +301,8 @@ class StreamingPeakDetector:
         "_integration",
         "_margin",
         "_context",
+        "_lead",
+        "_lag",
     )
 
     def __init__(self, fs: float, params: PanTompkinsParams | None = None) -> None:
@@ -249,6 +320,15 @@ class StreamingPeakDetector:
         )
         #: Raw-sample context kept to the left of the finalisation frontier.
         self._context = self._margin + self._taps.size
+        #: Samples filtered left (``_lead``) and right (``_lag``) of the span
+        #: a pass walks, so that every band-passed and energy value the walk
+        #: and the refinement read is computed from the same samples, by the
+        #: same operations, as over the whole buffer: FIR half-length, plus
+        #: the integration reach and derivative neighbours, or the
+        #: refinement half-window.
+        delay = self._taps.size // 2
+        self._lead = delay + max(self._integration // 2 + 2, self._half_refine)
+        self._lag = delay + max((self._integration - 1) // 2 + 2, self._half_refine)
 
         self._buffer = np.empty(0)
         self._buffer_start = 0  # absolute index of buffer[0]
@@ -379,52 +459,40 @@ class StreamingPeakDetector:
         if end_abs <= self._finalized or self._buffer.size < 2:
             return self._empty()
 
-        filtered = apply_fir(self._buffer, self._taps)
+        if self._level is None:
+            lo, hi = 0, self._buffer.size  # the seed window may lie anywhere
+        else:
+            # Filter only the span this pass walks plus its context; the
+            # retained left context is sized for the next pass, not this one.
+            lo = max(self._finalized - self._buffer_start - self._lead, 0)
+            hi = min(end_abs - self._buffer_start + self._lag, self._buffer.size)
+        filtered = apply_fir(self._buffer[lo:hi], self._taps)
         integrated = _integrated_energy(filtered, self._integration)
 
-        if self._level is None:
-            # Wait for about two seconds of signal before freezing the
-            # initial level estimate, unless the stream is being flushed.
-            # The estimate uses exactly the first two seconds past
-            # ``_seed_from`` (the buffer still starts there, since trimming
-            # only happens after a detection pass and ``resume_at`` restarts
-            # the buffer at the resume point), so it does not depend on how
-            # the stream was cut into chunks.
-            if not final and self._n_seen - self._seed_from < int(2 * self.fs):
-                return self._empty()
-            self._level = float(np.percentile(integrated[: int(2 * self.fs)], 98))
-        threshold = self.params.threshold_fraction * self._level
+        if self._level is None and not self._seed(integrated, final):
+            self._trim(self._seed_from)
+            return self._empty()
 
-        start_local = max(self._finalized - self._buffer_start, 1)
-        start_local = max(start_local, self._last_peak + self._refractory - self._buffer_start)
-        end_local = min(end_abs - self._buffer_start, self._buffer.size - 1)
-
-        peaks_local = []
-        i = start_local
-        while i < end_local:
-            if (
-                integrated[i] > threshold
-                and integrated[i] >= integrated[i - 1]
-                and integrated[i] >= integrated[i + 1]
-            ):
-                peaks_local.append(i)
-                self._level += (integrated[i] - self._level) / self.params.level_memory
-                threshold = self.params.threshold_fraction * self._level
-                i += self._refractory
-            else:
-                i += 1
+        start_abs = max(self._finalized, self._last_peak + self._refractory, self._seed_from)
+        refined, self._level = _walk_and_refine(
+            integrated,
+            filtered,
+            start_abs - self._buffer_start - lo,
+            end_abs - self._buffer_start - lo,
+            self._level,
+            self.params,
+            self._refractory,
+            self._half_refine,
+        )
 
         emitted_local = []
-        for p in peaks_local:
-            lo = max(0, p - self._half_refine)
-            hi = min(self._buffer.size, p + self._half_refine + 1)
-            refined = lo + int(np.argmax(filtered[lo:hi]))
-            refined_abs = self._buffer_start + refined
+        for refined_local in (refined + lo).tolist():
+            refined_abs = self._buffer_start + refined_local
             # Enforce the refractory period across chunk boundaries and
             # against refinement collapsing two candidates onto one beat.
             if refined_abs - self._last_peak < self._refractory:
                 continue
-            emitted_local.append(refined)
+            emitted_local.append(refined_local)
             self._last_peak = refined_abs
 
         self._finalized = end_abs
@@ -434,13 +502,38 @@ class StreamingPeakDetector:
         amplitudes = self._buffer[local] if local.size else np.empty(0)
         indices = local + self._buffer_start
 
-        # Trim the buffer, keeping enough left context for the next call.
-        keep_from_abs = max(self._buffer_start, self._finalized - self._context)
-        drop = keep_from_abs - self._buffer_start
-        if drop > 0:
-            self._buffer = self._buffer[drop:]
-            self._buffer_start = keep_from_abs
+        self._trim(self._finalized)
 
         if not indices.size:
             return self._empty()
         return indices, indices / self.fs, amplitudes
+
+    def _seed(self, integrated: np.ndarray, final: bool) -> bool:
+        """Freeze the initial adaptive level; ``False`` while it cannot be.
+
+        The level is the 98th percentile of the finite energy in exactly the
+        two seconds past ``_seed_from`` (the buffer still holds them: it is
+        only trimmed to ``_context`` before ``_seed_from``), so it does not
+        depend on how the stream was cut into chunks.  It waits for those
+        two seconds to arrive unless the stream is being flushed.  When they
+        hold no finite energy at all (a NaN/inf burst), the seed window
+        moves on by two seconds and nothing before it is detected.
+        """
+        span = max(int(2 * self.fs), 1)
+        while final or self._n_seen - self._seed_from >= span:
+            lo = self._seed_from - self._buffer_start
+            self._level = _seed_level(integrated[lo : lo + span])
+            if self._level is not None:
+                return True
+            if lo + span >= integrated.size:
+                return False
+            self._seed_from += span
+        return False
+
+    def _trim(self, frontier: int) -> None:
+        """Drop buffered samples more than ``_context`` before ``frontier``."""
+        keep_from_abs = max(self._buffer_start, frontier - self._context)
+        drop = keep_from_abs - self._buffer_start
+        if drop > 0:
+            self._buffer = self._buffer[drop:]
+            self._buffer_start = keep_from_abs

@@ -16,9 +16,13 @@ The implementation is hot-path tuned without changing a single output bit
   (row-wise FFTs are bitwise identical to per-segment 1-D FFTs); the
   periodogram average still accumulates row by row in the original
   sequential order, because changing a float summation order changes bits.
+  A signal that holds a single segment (every analysis window of the
+  monitor) skips the strided segment view.
 * :func:`band_powers` integrates every band from one shared trapezoid-panel
   vector instead of re-slicing the PSD per band; each band's panel sum uses
-  the same ``np.add.reduce`` pairwise order the trapezoid rule uses.
+  the same ``np.add.reduce`` order the trapezoid rule uses, and bands of
+  fewer than 8 panels are summed together as the zero-padded rows of one
+  matrix.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ _RFFTFREQ_CACHE: Dict[Tuple[int, float], np.ndarray] = {}
 #: Memoisation bound; cleared wholesale when exceeded (lengths vary with the
 #: per-window beat count, so the key space is finite but not fixed).
 _CACHE_LIMIT = 512
+#: Bands spanning fewer panels than this are summed as rows of one matrix:
+#: NumPy's pairwise summation adds fewer than 8 terms strictly left to right.
+_ROW_SUM_LIMIT = 8
 
 
 def _hann(segment_length: int) -> Tuple[np.ndarray, float]:
@@ -105,14 +112,20 @@ def welch_psd(
 
     window, window_power = _hann(segment_length)
 
-    # One strided view per segment start, exactly the starts of the original
-    # ``range(0, x.size - segment_length + 1, step)`` loop.
-    segments = np.lib.stride_tricks.sliding_window_view(x, segment_length)[::step]
+    if x.size - segment_length < step:
+        # A single segment (every feature window of the monitor): a plain
+        # 2-D view, without the strided view's per-call set-up cost.
+        segments = x[None, :segment_length]
+    else:
+        # One strided view per segment start, exactly the starts of the
+        # original ``range(0, x.size - segment_length + 1, step)`` loop.
+        segments = np.lib.stride_tricks.sliding_window_view(x, segment_length)[::step]
     count = segments.shape[0]
     if count == 0:
         raise ValueError("could not form any Welch segment")
     if detrend_segments:
-        data = segments - segments.mean(axis=1, keepdims=True)
+        # ``segments.mean(axis=1, keepdims=True)`` without its wrapper.
+        data = segments - np.add.reduce(segments, axis=1, keepdims=True) / segment_length
         np.multiply(data, window, out=data)
     else:
         data = segments * window
@@ -152,24 +165,36 @@ def band_powers(
     trapezoid-panel vector ``diff(freqs) * (psd[1:] + psd[:-1]) / 2.0`` and
     each integral is a single slice reduction — bit-identical to calling
     :func:`band_power` per band, at a fraction of the work for the paper's
-    29-band grid.
+    29-band grid.  When no band spans 8 or more panels, all of them are
+    summed in one reduction over the rows of a zero-padded matrix.
     """
     freqs = np.asarray(freqs, dtype=float)
     psd = np.asarray(psd, dtype=float)
     if freqs.size < 2:
         return np.array([band_power(freqs, psd, lo, hi) for lo, hi in edges])
-    widths = np.diff(freqs)
-    if np.any(widths < 0):  # unsorted grid: fall back to the reference path
+    widths = freqs[1:] - freqs[:-1]  # np.diff, without its wrapper
+    if (widths < 0).any():  # unsorted grid: fall back to the reference path
         return np.array([band_power(freqs, psd, lo, hi) for lo, hi in edges])
     # The same elementwise expression np.trapezoid evaluates internally.
     panel = widths * (psd[1:] + psd[:-1]) / 2.0
     edge_arr = np.asarray(edges, dtype=float).reshape(-1, 2)
     first = np.searchsorted(freqs, edge_arr[:, 0], side="left")
-    last = np.searchsorted(freqs, edge_arr[:, 1], side="right")
-    out = np.empty(edge_arr.shape[0])
-    for j in range(edge_arr.shape[0]):
-        i0, i1 = int(first[j]), int(last[j])
-        # Fewer than two grid points in the band integrates to zero, exactly
-        # as the trapezoid rule over a <2-point selection does.
-        out[j] = np.add.reduce(panel[i0 : i1 - 1]) if i1 - i0 >= 2 else 0.0
-    return out
+    # Panels per band; fewer than two grid points (<= 0 panels) integrate to
+    # zero, exactly as the trapezoid rule over a <2-point selection does.
+    counts = np.searchsorted(freqs, edge_arr[:, 1], side="right") - first - 1
+    span = int(counts.max()) if counts.size else 0
+    if span >= _ROW_SUM_LIMIT:
+        # Wide bands: NumPy's pairwise summation regroups 8+ terms, so each
+        # band keeps its own slice reduction.
+        out = np.empty(counts.size)
+        for j in range(counts.size):
+            i0 = int(first[j])
+            out[j] = np.add.reduce(panel[i0 : i0 + int(counts[j])]) if counts[j] > 0 else 0.0
+        return out
+    # Narrow bands: one row per band, its panels then zeros, summed in one
+    # reduction.  NumPy adds fewer than 8 terms strictly left to right from
+    # +0.0, so no partial sum is ever -0.0 and every trailing +0.0 leaves it
+    # unchanged: each row sums to its band's slice reduction, bit for bit.
+    columns = np.arange(max(span, 1))
+    rows = np.where(columns < counts[:, None], first[:, None] + columns, panel.size)
+    return np.add.reduce(np.concatenate((panel, (0.0,)))[rows], axis=1)

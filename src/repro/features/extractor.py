@@ -201,7 +201,7 @@ class FeatureExtractor:
             raise RuntimeError(
                 "feature vector has %d entries, expected %d" % (vector.shape[0], N_FEATURES)
             )
-        if not np.all(np.isfinite(vector)):
+        if not np.isfinite(vector).all():
             raise ValueError("non-finite feature value in window")
         return vector
 

@@ -9,11 +9,13 @@ raises the LF/HF ratio — the discriminative signal exploited by the SVM.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.dsp.psd import band_power, welch_psd
+from repro.dsp.moments import mean, sample_std
+from repro.dsp.psd import band_powers, welch_psd
 from repro.dsp.resample import resample_beats_to_uniform
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -35,6 +37,8 @@ HRV_FEATURE_NAMES: List[str] = [
 #: Classical HRV frequency bands (Hz).
 LF_BAND = (0.04, 0.15)
 HF_BAND = (0.15, 0.40)
+_LF_HF_EDGES = np.array([LF_BAND, HF_BAND])
+_LF_HF_EDGES.setflags(write=False)
 
 #: Resampling rate of the RR tachogram used for the spectral feature.
 _TACHOGRAM_FS = 4.0
@@ -70,7 +74,7 @@ def hrv_features(
         raise ValueError("need at least four RR intervals for HRV features")
 
     if partials is None:
-        successive = np.diff(rr)
+        successive = rr[1:] - rr[:-1]
         successive_sq = successive**2
         nn50 = np.abs(successive) > 0.050
         hr = 60.0 / rr
@@ -79,12 +83,13 @@ def hrv_features(
         nn50 = partials.nn50
         hr = partials.hr
 
-    mean_rr = float(np.mean(rr))
-    sdnn = float(np.std(rr, ddof=1))
-    rmssd = float(np.sqrt(np.mean(successive_sq))) if successive_sq.size else 0.0
-    pnn50 = float(np.mean(nn50)) if nn50.size else 0.0
-    mean_hr = float(np.mean(hr))
-    max_hr = float(np.max(hr))
+    mean_rr = mean(rr)
+    sdnn = sample_std(rr)
+    rmssd = math.sqrt(mean(successive_sq)) if successive_sq.size else 0.0
+    # The mean of a boolean vector: its count (exact in float) over n.
+    pnn50 = np.count_nonzero(nn50) / nn50.size if nn50.size else 0.0
+    mean_hr = mean(hr)
+    max_hr = float(np.maximum.reduce(hr))
     cv_rr = sdnn / mean_rr if mean_rr > 0 else 0.0
 
     lf_hf = _lf_hf_ratio(rr, np.asarray(beat_times_s, dtype=float))
@@ -107,8 +112,7 @@ def _lf_hf_ratio(rr: np.ndarray, beat_times_s: np.ndarray) -> float:
         freqs, psd = welch_psd(tachogram, fs=_TACHOGRAM_FS, segment_length=min(256, tachogram.size))
     except ValueError:
         return 0.0
-    lf = band_power(freqs, psd, *LF_BAND)
-    hf = band_power(freqs, psd, *HF_BAND)
+    lf, hf = band_powers(freqs, psd, _LF_HF_EDGES).tolist()
     if hf <= 1e-12:
         return 0.0 if lf <= 1e-12 else 50.0
     return float(min(lf / hf, 50.0))

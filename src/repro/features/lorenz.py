@@ -14,6 +14,8 @@ from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
+from repro.dsp.moments import sample_std
+
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.features.cache import BeatPartials
 
@@ -52,8 +54,8 @@ def poincare_sd(
     else:
         diff = partials.lor_diff
         summ = partials.lor_sum
-    sd1 = float(np.std(diff, ddof=1))
-    sd2 = float(np.std(summ, ddof=1))
+    sd1 = sample_std(diff)
+    sd2 = sample_std(summ)
     return sd1, sd2
 
 

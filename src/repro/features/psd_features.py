@@ -33,6 +33,11 @@ PSD_BANDS: List[Tuple[float, float]] = [
 
 PSD_FEATURE_NAMES: List[str] = ["edr_psd_band_%02d" % k for k in range(1, _N_BANDS + 1)]
 
+#: :data:`PSD_BANDS` as a read-only ``(29, 2)`` array, converted once rather
+#: than on every window.
+_PSD_EDGES = np.asarray(PSD_BANDS, dtype=float)
+_PSD_EDGES.setflags(write=False)
+
 
 def psd_features(edr: np.ndarray, fs: float = EDR_FS) -> np.ndarray:
     """Band powers of the EDR series of one window.
@@ -54,7 +59,7 @@ def psd_features(edr: np.ndarray, fs: float = EDR_FS) -> np.ndarray:
     if edr.size < 16:
         raise ValueError("EDR segment too short for PSD features")
     freqs, psd = welch_psd(edr, fs=fs, segment_length=min(256, edr.size))
-    powers = band_powers(freqs, psd, PSD_BANDS)
+    powers = band_powers(freqs, psd, _PSD_EDGES)
     total = float(np.sum(powers))
     if total <= 1e-18:
         return np.zeros(_N_BANDS)

@@ -12,10 +12,10 @@ the real experiment features:
   bit-identical scores and labels; the committed record pins the measured
   ~19x.
 
-* **End to end** — the streaming chain (ring-buffer windower, overlap-aware
-  feature cache, one batched classification per drain) against the naive
-  chain (same windows, uncached per-window feature extraction, per-window
-  reference classification) over an identical synthetic beat workload.
+* **End to end** — the streaming chain (ring-buffer windower, one batched
+  classification per drain) against the naive chain (same windows and
+  features, per-window reference classification) over an identical
+  synthetic beat workload.
   Feature extraction dominates this path, so the asserted floor is modest;
   the absolute windows/second of both chains are recorded.
 
@@ -182,9 +182,9 @@ def test_bench_hotpath_quantized_kernel(benchmark, experiment_data):
 
 
 def _stream_fast(streams, detector, windowing):
-    """The optimised chain: ring windower + feature cache + batched drain."""
+    """The optimised chain: ring windower + batched drain."""
     windowers = [StreamingWindower(windowing) for _ in streams]
-    extractors = [FeatureExtractor(feature_cache=True) for _ in streams]
+    extractor = FeatureExtractor()
     decisions = []
     for chunk_index in range(len(streams[0])):
         pending = []
@@ -192,7 +192,7 @@ def _stream_fast(streams, detector, windowing):
             times, amps = stream[chunk_index]
             for window in windowers[p].push(times, amps):
                 try:
-                    feats = extractors[p].extract_beat_window(window)
+                    feats = extractor.extract_beat_window(window)
                 except ValueError:
                     feats = None
                 pending.append(
@@ -204,14 +204,14 @@ def _stream_fast(streams, detector, windowing):
 
 
 def _stream_naive(streams, detector, windowing):
-    """The naive chain: same windows, uncached features, per-window classify."""
+    """The naive chain: same windows and features, per-window classify."""
     windowers = [StreamingWindower(windowing) for _ in streams]
     decisions = []
     for chunk_index in range(len(streams[0])):
         for p, stream in enumerate(streams):
             times, amps = stream[chunk_index]
             for window in windowers[p].push(times, amps):
-                extractor = FeatureExtractor(feature_cache=False)
+                extractor = FeatureExtractor()
                 try:
                     feats = extractor.extract_beat_window(window)
                 except ValueError:
@@ -272,11 +272,8 @@ def test_bench_hotpath_end_to_end(benchmark, experiment_data):
     speedup = t_naive / t_fast
     print()
     print("windows streamed          : %d  (%d patients)" % (n, E2E_PATIENTS))
-    print("naive uncached chain      : %8.0f windows/s" % (n / t_naive))
-    print(
-        "ring+cache+batched chain  : %8.0f windows/s  (%.2fx)"
-        % (n / t_fast, speedup)
-    )
+    print("naive per-window chain    : %8.0f windows/s" % (n / t_naive))
+    print("ring+batched chain        : %8.0f windows/s  (%.2fx)" % (n / t_fast, speedup))
     benchmark.extra_info["windows"] = n
     benchmark.extra_info["naive_windows_per_s"] = n / t_naive
     benchmark.extra_info["fast_windows_per_s"] = n / t_fast

@@ -25,7 +25,6 @@ from repro.features.catalog import (
     feature_group_of,
     group_indices,
 )
-from repro.features.cache import BeatPartialCache, BeatPartials
 from repro.features.hrv import hrv_features, HRV_FEATURE_NAMES
 from repro.features.lorenz import lorenz_features, LORENZ_FEATURE_NAMES
 from repro.features.edr import edr_series_from_amplitudes, edr_series_from_ecg
@@ -45,8 +44,6 @@ __all__ = [
     "FeatureGroup",
     "feature_group_of",
     "group_indices",
-    "BeatPartialCache",
-    "BeatPartials",
     "hrv_features",
     "HRV_FEATURE_NAMES",
     "lorenz_features",

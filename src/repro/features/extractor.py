@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.features.ar_features import ar_features
-from repro.features.cache import BeatPartialCache, BeatPartials
 from repro.features.catalog import FEATURE_NAMES, N_FEATURES
 from repro.features.edr import EDR_FS, edr_series_from_amplitudes
 from repro.features.hrv import hrv_features
@@ -123,28 +122,10 @@ class FeatureMatrix:
 
 
 class FeatureExtractor:
-    """Computes the 53-feature vector of individual analysis windows.
+    """Computes the 53-feature vector of individual analysis windows."""
 
-    ``feature_cache=True`` (the default) attaches an overlap-aware
-    :class:`~repro.features.cache.BeatPartialCache`: windows arriving through
-    :meth:`extract_beat_window` with a known
-    :attr:`~repro.signals.windows.BeatWindow.first_beat_index` reuse the
-    elementwise per-beat partials they share with the previous window instead
-    of recomputing them.  The cached path is bit-identical to the full
-    recompute (the flag exists so parity can be asserted, not because the
-    results differ).
-    """
-
-    def __init__(
-        self,
-        params: Optional[FeatureExtractionParams] = None,
-        feature_cache: bool = True,
-    ) -> None:
+    def __init__(self, params: Optional[FeatureExtractionParams] = None) -> None:
         self.params = params or FeatureExtractionParams()
-        self.feature_cache = bool(feature_cache)
-        self._cache: Optional[BeatPartialCache] = (
-            BeatPartialCache() if self.feature_cache else None
-        )
 
     def extract_window(self, recording: Recording, window: Window) -> np.ndarray:
         """Feature vector of one window; raises ``ValueError`` if unusable."""
@@ -155,26 +136,11 @@ class FeatureExtractor:
         )
 
     def extract_beat_window(self, window: BeatWindow) -> np.ndarray:
-        """Feature vector of a streaming window, through the overlap cache.
-
-        Windows with unknown provenance (``first_beat_index < 0``) skip the
-        cache and take the full-recompute path.
-        """
-        partials = None
-        if self._cache is not None and window.first_beat_index >= 0:
-            partials = self._cache.partials_for(
-                window.first_beat_index, np.asarray(window.rr_s, dtype=float)
-            )
-        return self.extract_beats(
-            window.beat_times_s, window.rr_s, window.r_amplitudes_mv, partials=partials
-        )
+        """Feature vector of a streaming window."""
+        return self.extract_beats(window.beat_times_s, window.rr_s, window.r_amplitudes_mv)
 
     def extract_beats(
-        self,
-        beats: np.ndarray,
-        rr: np.ndarray,
-        amplitudes: np.ndarray,
-        partials: Optional[BeatPartials] = None,
+        self, beats: np.ndarray, rr: np.ndarray, amplitudes: np.ndarray
     ) -> np.ndarray:
         """Feature vector from raw per-window beat arrays.
 
@@ -190,8 +156,8 @@ class FeatureExtractor:
         if rr.size < 8 or beats.size < 8:
             raise ValueError("window contains too few beats")
 
-        hrv = hrv_features(rr, beats, partials=partials)
-        lorenz = lorenz_features(rr, partials=partials)
+        hrv = hrv_features(rr, beats)
+        lorenz = lorenz_features(rr)
         _, edr = edr_series_from_amplitudes(beats, amplitudes, fs=self.params.edr_fs)
         ar = ar_features(edr)
         psd = psd_features(edr, fs=self.params.edr_fs)

@@ -10,16 +10,13 @@ raises the LF/HF ratio — the discriminative signal exploited by the SVM.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.dsp.moments import mean, sample_std
 from repro.dsp.psd import band_powers, welch_psd
 from repro.dsp.resample import resample_beats_to_uniform
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.features.cache import BeatPartials
 
 __all__ = ["HRV_FEATURE_NAMES", "hrv_features"]
 
@@ -44,11 +41,7 @@ _LF_HF_EDGES.setflags(write=False)
 _TACHOGRAM_FS = 4.0
 
 
-def hrv_features(
-    rr_s: np.ndarray,
-    beat_times_s: np.ndarray,
-    partials: "Optional[BeatPartials]" = None,
-) -> np.ndarray:
+def hrv_features(rr_s: np.ndarray, beat_times_s: np.ndarray) -> np.ndarray:
     """Compute the eight HRV features of one window.
 
     Parameters
@@ -59,11 +52,6 @@ def hrv_features(
         Beat times inside the window (one more element than ``rr_s`` in the
         usual case; only the first ``len(rr_s)+1`` entries are used for the
         tachogram resampling).
-    partials:
-        Precomputed elementwise partials of this exact RR vector (from the
-        overlap-aware :class:`~repro.features.cache.BeatPartialCache`).  The
-        aggregations below are identical either way, so supplying partials
-        cannot change a bit of the result.
 
     Returns
     -------
@@ -73,15 +61,10 @@ def hrv_features(
     if rr.size < 4:
         raise ValueError("need at least four RR intervals for HRV features")
 
-    if partials is None:
-        successive = rr[1:] - rr[:-1]
-        successive_sq = successive**2
-        nn50 = np.abs(successive) > 0.050
-        hr = 60.0 / rr
-    else:
-        successive_sq = partials.succ_sq
-        nn50 = partials.nn50
-        hr = partials.hr
+    successive = rr[1:] - rr[:-1]
+    successive_sq = successive**2
+    nn50 = np.abs(successive) > 0.050
+    hr = 60.0 / rr
 
     mean_rr = mean(rr)
     sdnn = sample_std(rr)

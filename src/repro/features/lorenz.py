@@ -10,14 +10,11 @@ carry strong discriminative power.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.dsp.moments import sample_std
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.features.cache import BeatPartials
 
 __all__ = ["LORENZ_FEATURE_NAMES", "lorenz_features", "poincare_sd"]
 
@@ -32,36 +29,25 @@ LORENZ_FEATURE_NAMES: List[str] = [
 ]
 
 
-def poincare_sd(
-    rr_s: np.ndarray, partials: "Optional[BeatPartials]" = None
-) -> tuple[float, float]:
+def poincare_sd(rr_s: np.ndarray) -> tuple[float, float]:
     """SD1 and SD2 of the Poincaré / Lorenz plot of an RR series.
 
     SD1 is the dispersion perpendicular to the identity line and SD2 the
     dispersion along it, computed with the classical rotation-by-45° formulas.
-    The rotated coordinates are elementwise in adjacent RR pairs, so they can
-    come precomputed from the overlap-aware
-    :class:`~repro.features.cache.BeatPartialCache` without changing a bit.
     """
     rr = np.asarray(rr_s, dtype=float)
     if rr.size < 3:
         raise ValueError("need at least three RR intervals for a Lorenz plot")
-    if partials is None:
-        x = rr[:-1]
-        y = rr[1:]
-        diff = (y - x) / np.sqrt(2.0)
-        summ = (y + x) / np.sqrt(2.0)
-    else:
-        diff = partials.lor_diff
-        summ = partials.lor_sum
+    x = rr[:-1]
+    y = rr[1:]
+    diff = (y - x) / np.sqrt(2.0)
+    summ = (y + x) / np.sqrt(2.0)
     sd1 = sample_std(diff)
     sd2 = sample_std(summ)
     return sd1, sd2
 
 
-def lorenz_features(
-    rr_s: np.ndarray, partials: "Optional[BeatPartials]" = None
-) -> np.ndarray:
+def lorenz_features(rr_s: np.ndarray) -> np.ndarray:
     """Compute the seven Lorenz-plot features of one window.
 
     Returns
@@ -72,7 +58,7 @@ def lorenz_features(
         modified CSI = SD2² / SD1 (all with SD1/SD2 expressed in
         milliseconds, following the seizure-detection literature).
     """
-    sd1_s, sd2_s = poincare_sd(rr_s, partials=partials)
+    sd1_s, sd2_s = poincare_sd(rr_s)
     # Express the axes in milliseconds, as is conventional for CSI / CVI.
     sd1 = sd1_s * 1000.0
     sd2 = sd2_s * 1000.0

@@ -1,12 +1,11 @@
 """Hot-path profiling harness: ``python -m repro.profile``.
 
 Drives the per-patient serving pipeline — streaming windower, feature
-extraction (with or without the overlap cache), fixed-point classification —
-over a deterministic synthetic beat workload, and reports per-stage wall
-time plus windows/second.  ``--cprofile`` additionally prints the top
-functions by cumulative time, which is how the hot spots behind the
-ring-buffer windower, the batched Welch path and the fused int64 kernel
-were found in the first place.
+extraction, fixed-point classification — over a deterministic synthetic beat
+workload, and reports per-stage wall time plus windows/second.
+``--cprofile`` additionally prints the top functions by cumulative time,
+which is how the hot spots behind the ring-buffer windower, the batched
+Welch path and the fused int64 kernel were found in the first place.
 
 The workload is synthesised directly at the beat level (seeded RNG, no ECG
 waveform DSP), so the numbers isolate the windower → features → classifier
@@ -97,15 +96,14 @@ def run_profile(
     duration_s: float,
     window_s: float,
     step_fraction: float,
-    feature_cache: bool,
     seed: int,
     clock: Callable[[], float] = time.perf_counter,
 ) -> ProfileReport:
     """Run the windower → features → classifier chain over a synthetic fleet.
 
     Every patient gets an independent seeded beat stream, a ring-buffer
-    windower on the overlapping grid (``step = step_fraction * window``) and
-    a feature extractor; completed windows are classified in one batched
+    windower on the overlapping grid (``step = step_fraction * window``);
+    completed windows are featurised and then classified in one batched
     call per drain cycle, exactly like a fleet drain.
     """
     rng = np.random.default_rng(seed)
@@ -120,7 +118,7 @@ def run_profile(
         for p in range(patients)
     ]
     windowers = [StreamingWindower(windowing) for _ in range(patients)]
-    extractors = [FeatureExtractor(feature_cache=feature_cache) for _ in range(patients)]
+    extractor = FeatureExtractor()
 
     n_chunks = len(streams[0])
     for chunk_index in range(n_chunks):
@@ -138,7 +136,7 @@ def run_profile(
         pending: List[PendingWindow] = []
         for p, window in completed:
             try:
-                features: Optional[np.ndarray] = extractors[p].extract_beat_window(window)
+                features: Optional[np.ndarray] = extractor.extract_beat_window(window)
             except ValueError:
                 features = None
             pending.append(
@@ -178,11 +176,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=0.25,
         help="stride as a fraction of the window (0.25 = 4x overlap)",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the overlap-aware feature cache (A/B comparison)",
-    )
     parser.add_argument("--seed", type=int, default=7, help="workload seed")
     parser.add_argument(
         "--cprofile",
@@ -196,18 +189,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         duration_s=args.duration,
         window_s=args.window,
         step_fraction=args.step_fraction,
-        feature_cache=not args.no_cache,
         seed=args.seed,
     )
     print(
-        "profiling %d patients x %.0f s, window %.0f s, step %.2f, cache %s"
-        % (
-            args.patients,
-            args.duration,
-            args.window,
-            args.step_fraction,
-            "off" if args.no_cache else "on",
-        )
+        "profiling %d patients x %.0f s, window %.0f s, step %.2f"
+        % (args.patients, args.duration, args.window, args.step_fraction)
     )
     if args.cprofile:
         profiler = cProfile.Profile()

@@ -151,10 +151,6 @@ class MonitorFleet:
     clock:
         Monotonic time source used for latency-based drain policies;
         injectable for deterministic tests.
-    feature_cache:
-        Overlap-aware per-beat feature cache of every monitor this fleet
-        creates or revives (bit-identical either way; see
-        :class:`~repro.serving.streaming.StreamingMonitor`).
     lossy:
         Datagram-transport mode for every monitor this fleet creates or
         revives: ``seq`` values are absolute sample offsets, and a jump
@@ -173,7 +169,6 @@ class MonitorFleet:
         drain_policy: DrainPolicy | None = None,
         auto_register: bool = True,
         clock: Callable[[], float] = time.monotonic,
-        feature_cache: bool = True,
         lossy: bool = False,
     ) -> None:
         if isinstance(classifier, ModelRegistry):
@@ -185,7 +180,6 @@ class MonitorFleet:
         self.detector_params = detector_params
         self.drain_policy = drain_policy
         self.auto_register = bool(auto_register)
-        self.feature_cache = bool(feature_cache)
         self.lossy = bool(lossy)
         self._clock = clock
         self._monitors: Dict[int, StreamingMonitor] = {}
@@ -239,7 +233,6 @@ class MonitorFleet:
             classifier=None,
             windowing=self.windowing,
             detector_params=self.detector_params,
-            feature_cache=self.feature_cache,
             lossy=self.lossy,
         )
         self._monitors[patient_id] = monitor
@@ -382,9 +375,7 @@ class MonitorFleet:
                 "state fs %g Hz does not match the fleet's %g Hz" % (state.fs, self.fs)
             )
         if state.has_monitor:
-            self._monitors[patient_id] = StreamingMonitor.from_snapshot(
-                state, feature_cache=self.feature_cache, lossy=self.lossy
-            )
+            self._monitors[patient_id] = StreamingMonitor.from_snapshot(state, lossy=self.lossy)
         if state.pending:
             self._queue(list(state.pending))
             if pending_age_s > 0.0:

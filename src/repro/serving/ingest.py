@@ -235,7 +235,9 @@ class IngestGateway:
         which strict sequencing would forbid).  With ``lossy=True`` the
         default flips back to ``True``: sequence numbers are exactly how the
         fleet's monitors *detect* gaps, and their datagram mode absorbs them
-        instead of rejecting the stream.  Override to force either.
+        instead of rejecting the stream — so a lossy gateway rejects
+        ``enforce_seq=False`` (``ValueError``).  Otherwise, override to force
+        either.
     lossy:
         Datagram-transport mode, end to end.  Requires a fleet constructed
         with ``lossy=True`` (the monitors read ``seq`` as the chunk's
@@ -292,6 +294,11 @@ class IngestGateway:
         self.backpressure = backpressure
         if enforce_seq is None:
             enforce_seq = self.lossy or backpressure == "block"
+        if self.lossy and not enforce_seq:
+            raise ValueError(
+                "a lossy gateway must deliver seq numbers: lossy monitors read"
+                " them as sample offsets to detect gaps"
+            )
         self.enforce_seq = bool(enforce_seq)
         self._gateway_policy = drain_policy
         self._previous_policy: Optional[DrainPolicy] = None

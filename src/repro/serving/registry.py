@@ -34,9 +34,9 @@ The registry is deliberately *routing-invariant*: it maps patients, not
 shards, so a patient's model follows them wherever the
 :class:`~repro.serving.sharding.HashRing` places them, including across
 reshards.  A :class:`~repro.serving.sharding.ShardedFleet` therefore shares
-one registry object across its in-process shards (process-backend workers
-hold replicas, kept in sync by
-:meth:`~repro.serving.sharding.ShardedFleet.register_model`).
+one registry object across all of its shards, so one
+:meth:`~repro.serving.sharding.ShardedFleet.register_model` call reaches
+every shard.
 """
 
 from __future__ import annotations

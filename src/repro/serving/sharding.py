@@ -17,7 +17,8 @@ holds because each patient's DSP state lives on exactly one shard and the
 batched classifiers are batch-composition invariant (bit-exactly so on the
 integer fixed-point path).
 
-Three executor backends:
+Two executor backends, both in-process (shards share the parent's objects;
+cross-host scale-out is the federated cluster of :mod:`repro.serving.cluster`):
 
 * ``"serial"`` — shards are plain in-process objects, calls run inline.
   Zero overhead; also the fastest drain on a single core, because shard-
@@ -26,22 +27,14 @@ Three executor backends:
 * ``"thread"`` — drains / flushes / stat polls fan out over a thread pool;
   the NumPy kernels release the GIL, so shards classify concurrently on
   multi-core hosts.
-* ``"process"`` — one dedicated worker process per shard, each hosting its
-  own :class:`~repro.serving.fleet.MonitorFleet`; chunks, stats and
-  decisions travel over pipes.  This is the multi-host deployment shape in
-  miniature (the pipe protocol is the same role a socket would play, and
-  ECG payloads are shipped in the :mod:`repro.serving.wire` frame format by
-  :meth:`ShardedFleet.push_wire` upstream of it).
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing as mp
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -365,146 +358,7 @@ class _ThreadBackend(_SerialBackend):
         self._pool.shutdown(wait=True)
 
 
-def _shard_worker(
-    conn: Connection,
-    classifier: InferenceBackend | ModelRegistry,
-    fs: float,
-    windowing: Optional[WindowingParams],
-    detector_params: Optional[PanTompkinsParams],
-    auto_register: bool,
-    feature_cache: bool = True,
-    lossy: bool = False,
-) -> None:
-    """Worker-process loop: host one shard fleet, serve pipe requests."""
-    fleet = MonitorFleet(
-        classifier,
-        fs,
-        windowing=windowing,
-        detector_params=detector_params,
-        auto_register=auto_register,
-        feature_cache=feature_cache,
-        lossy=lossy,
-    )
-    while True:
-        request = conn.recv()
-        if request is None:
-            conn.close()
-            return
-        method, args, kwargs = request
-        try:
-            conn.send(("ok", _invoke(fleet, method, *args, **kwargs)))
-        except BaseException as exc:  # propagated to, and re-raised in, the parent
-            conn.send(("err", exc))
-
-
-class _ProcessBackend:
-    """One dedicated worker process per shard, request/response over pipes."""
-
-    #: Workers hold pickled *replicas* of shared state (the model registry),
-    #: so registry mutations must be forwarded explicitly — unlike the
-    #: in-process backends, whose shards share the parent's objects.
-    replicated = True
-
-    def __init__(
-        self,
-        n_shards: int,
-        classifier,
-        fs: float,
-        windowing,
-        detector_params,
-        auto_register: bool,
-        feature_cache: bool = True,
-        lossy: bool = False,
-    ) -> None:
-        self._spawn_args = (
-            classifier,
-            fs,
-            windowing,
-            detector_params,
-            auto_register,
-            feature_cache,
-            lossy,
-        )
-        self._conns = []
-        self._procs = []
-        for _ in range(n_shards):
-            self._spawn_one()
-
-    def _spawn_one(self) -> None:
-        ctx = mp.get_context()
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(
-            target=_shard_worker,
-            args=(child_conn,) + self._spawn_args,
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        self._conns.append(parent_conn)
-        self._procs.append(proc)
-
-    def resize(self, n_shards: int) -> None:
-        """Grow or shrink the worker pool to ``n_shards`` processes.
-
-        Removed workers (always the highest indices — surviving shard
-        indices keep their processes and therefore their monitors) are shut
-        down gracefully; added workers start empty, holding a pickled
-        replica of the *current* model registry (the first spawn-args
-        element is the parent's registry object, pickled at spawn time, so a
-        late-born worker is born in sync).  The caller must have migrated
-        every patient off a worker before shrinking past it.
-        """
-        while len(self._conns) > n_shards:
-            conn = self._conns.pop()
-            proc = self._procs.pop()
-            try:
-                conn.send(None)
-                conn.close()
-            except OSError:
-                pass
-            proc.join(timeout=10.0)
-            if proc.is_alive():
-                proc.terminate()
-        while len(self._conns) < n_shards:
-            self._spawn_one()
-
-    def call(self, shard: int, method: str, *args: Any, **kwargs: Any) -> Any:
-        conn = self._conns[shard]
-        conn.send((method, args, kwargs))
-        status, value = conn.recv()
-        if status == "err":
-            raise value
-        return value
-
-    def call_all(self, method: str, *args: Any, **kwargs: Any) -> list:
-        settled = self.call_all_settled(method, *args, **kwargs)
-        for ok, value in settled:
-            if not ok:
-                raise value
-        return [value for _, value in settled]
-
-    def call_all_settled(self, method: str, *args: Any, **kwargs: Any) -> list:
-        for conn in self._conns:
-            conn.send((method, args, kwargs))
-        return [
-            (status == "ok", value)
-            for status, value in (conn.recv() for conn in self._conns)
-        ]
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(None)
-                conn.close()
-            except OSError:
-                pass
-        for proc in self._procs:
-            proc.join(timeout=10.0)
-            if proc.is_alive():
-                proc.terminate()
-
-
-_BACKENDS = ("serial", "thread", "process")
+_BACKENDS = ("serial", "thread")
 
 
 class ShardedFleet:
@@ -526,17 +380,17 @@ class ShardedFleet:
         Fleet-level :class:`~repro.serving.scheduler.DrainPolicy`, evaluated
         against the merged shard stats; a trigger drains *all* shards.
     backend:
-        ``"serial"`` (default), ``"thread"`` or ``"process"`` — see the
-        module docstring.  Drain-policy scheduling is driven by *local*
-        queue counters the fleet maintains from the shards' return values
-        (exact, and free of cross-shard round-trips on every chunk), so it
-        behaves identically on all three backends; only the authoritative
-        :meth:`stats` / :attr:`pending_count` sweep the shards.
+        ``"serial"`` (default) or ``"thread"`` — see the module docstring.
+        Drain-policy scheduling is driven by *local* queue counters the
+        fleet maintains from the shards' return values (exact, and free of a
+        sweep over every shard on every chunk), so it behaves identically on
+        both backends; only the authoritative :meth:`stats` /
+        :attr:`pending_count` sweep the shards.
     auto_register:
         Unknown-patient contract, forwarded to every shard (see
         :class:`~repro.serving.fleet.MonitorFleet`).
     clock:
-        Monotonic time source for the in-process backends' latency stats.
+        Monotonic time source for the shards' latency stats.
     replicas:
         Ring points per shard for the :class:`HashRing`.
     shard_weights:
@@ -558,7 +412,6 @@ class ShardedFleet:
         clock: Callable[[], float] = time.monotonic,
         replicas: int = 64,
         shard_weights: Optional[Sequence[float]] = None,
-        feature_cache: bool = True,
         lossy: bool = False,
     ) -> None:
         if backend not in _BACKENDS:
@@ -574,30 +427,16 @@ class ShardedFleet:
         self.auto_register = bool(auto_register)
         self.windowing = windowing
         self.detector_params = detector_params
-        self.feature_cache = bool(feature_cache)
         self.lossy = bool(lossy)
         self.ring = HashRing(self.n_shards, replicas=replicas, weights=shard_weights)
         self._clock = clock
         # The registry is routing-invariant: every shard classifies with the
         # *same* patient->model mapping, so a patient's tailored model follows
         # them wherever the ring places them (including across reshards).
-        # In-process shards share this very object; worker processes receive
-        # pickled replicas (kept in sync by register_model).
-        if backend == "process":
-            self._backend = _ProcessBackend(
-                self.n_shards,
-                self.registry,
-                self.fs,
-                windowing,
-                detector_params,
-                self.auto_register,
-                self.feature_cache,
-                self.lossy,
-            )
-        else:
-            shards = [self._make_shard() for _ in range(self.n_shards)]
-            backend_cls = _ThreadBackend if backend == "thread" else _SerialBackend
-            self._backend = backend_cls(shards)
+        # Every shard shares this very object.
+        shards = [self._make_shard() for _ in range(self.n_shards)]
+        backend_cls = _ThreadBackend if backend == "thread" else _SerialBackend
+        self._backend = backend_cls(shards)
         self._shard_of: Dict[int, int] = {}
         # Local queue bookkeeping, kept exact from the shards' return values:
         # windows only enter or leave a shard's queue through calls routed
@@ -616,7 +455,6 @@ class ShardedFleet:
             detector_params=self.detector_params,
             auto_register=self.auto_register,
             clock=self._clock,
-            feature_cache=self.feature_cache,
             lossy=self.lossy,
         )
 
@@ -630,16 +468,12 @@ class ShardedFleet:
     def register_model(self, patient_id: int, backend: InferenceBackend) -> int:
         """Install (or hot-swap) one patient's tailored backend, fleet-wide.
 
-        The in-process executor backends share the parent's
+        Every shard shares the fleet's
         :class:`~repro.serving.registry.ModelRegistry`, so a single registry
-        mutation is visible to every shard; the process backend holds
-        per-worker replicas, which are updated first so a concurrent drain
-        never sees the worker and the parent disagree for long.  Returns the
-        parent registry's new epoch.  The swap takes effect at the next
-        drain, wherever the ring routes the patient.
+        mutation is visible to all of them.  Returns the registry's new
+        epoch.  The swap takes effect at the next drain, wherever the ring
+        routes the patient.
         """
-        if getattr(self._backend, "replicated", False):
-            self._backend.call_all("register_model", int(patient_id), backend)
         return self.registry.register(patient_id, backend)
 
     def model_label_for(self, patient_id: int) -> str:
@@ -712,8 +546,8 @@ class ShardedFleet:
         for window in windows:
             by_shard.setdefault(self.shard_of(window.patient_id), []).append(window)
         if not self.auto_register:
-            # One membership probe per shard (not per patient): under the
-            # process backend every call is a pipe round-trip.
+            # One membership probe per shard, not per patient; nothing is
+            # queued until every shard has answered.
             for shard, group in by_shard.items():
                 missing = self._backend.call(
                     shard, "missing_patients", [w.patient_id for w in group]
@@ -805,11 +639,9 @@ class ShardedFleet:
         its old shard — DSP carry-over, partial windows, sequence position
         *and* queued pending windows, as one
         :class:`~repro.serving.streaming.MonitorState` — and attached to its
-        new one.  Under the process backend the states travel over the worker
-        pipes; new workers are born with a replica of the current
-        :class:`~repro.serving.registry.ModelRegistry`, and the in-process
-        backends keep sharing the parent's, so every patient's tailored model
-        follows them unchanged.  ``weights`` re-cuts the ring per
+        new one.  Every shard, old or new, shares the fleet's
+        :class:`~repro.serving.registry.ModelRegistry`, so every patient's
+        tailored model follows them unchanged.  ``weights`` re-cuts the ring per
         :meth:`HashRing.resized_weights` (same-count reshards with changed
         weights are legal — that is a pure rebalance).
 
@@ -825,7 +657,7 @@ class ShardedFleet:
         call is retryable.  (A failure while *importing* into the new
         topology cannot be rolled back the same way — the old topology is
         gone — and raises a :class:`RuntimeError` naming the orphaned
-        patients; with in-process backends this is unreachable, as
+        patients; in normal operation this is unreachable, as
         ``import_patient`` validates nothing that ``export_patient`` has not
         already produced.)
 
@@ -859,11 +691,10 @@ class ShardedFleet:
                 moved[patient_id] = (old_shard, new_shard)
         # 1. Detach every moving patient while all old shards are still up,
         #    touching *no* fleet state until every export has succeeded — a
-        #    dead worker mid-migration must leave the fleet exactly as found.
-        #    Each source shard's oldest-pending age is captured first so the
-        #    migrated windows don't look freshly-arrived on their new shard
-        #    (ages are durations, safe across the process backend's clocks;
-        #    the shard-level maximum is a conservative upper bound per
+        #    failed export mid-migration must leave the fleet exactly as
+        #    found.  Each source shard's oldest-pending age is captured first
+        #    so the migrated windows don't look freshly-arrived on their new
+        #    shard (the shard-level maximum is a conservative upper bound per
         #    patient, which only ever makes LatencyPolicy fire sooner).
         source_age: Dict[int, float] = {}
         states: List[tuple] = []
@@ -906,7 +737,7 @@ class ShardedFleet:
                     )
                 self._pending_by_shard[old_shard] = remaining
         # 3. Resize the executor topology.  Surviving shard indices keep
-        #    their fleet objects / worker processes (their ring points are
+        #    their fleet objects (their ring points are
         #    unchanged, so their patients never noticed anything).
         self._resize_backend(n_shards)
         self.ring = new_ring
@@ -963,9 +794,6 @@ class ShardedFleet:
         return self.reshard(self.n_shards - 1)
 
     def _resize_backend(self, n_shards: int) -> None:
-        if self.backend_name == "process":
-            self._backend.resize(n_shards)
-            return
         shards = list(self._backend.shards)
         if n_shards < len(shards):
             shards = shards[:n_shards]
@@ -1086,7 +914,7 @@ class ShardedFleet:
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut the executor backend down (worker processes, thread pool)."""
+        """Shut the executor backend down (the thread pool, if any)."""
         self._backend.close()
 
     def __enter__(self) -> "ShardedFleet":

@@ -131,8 +131,8 @@ class MonitorState:
 
     ``detector`` / ``windower`` / ``sequence`` are ``None`` for a patient
     known only through enqueued windows (no live monitor).  The state is a
-    plain pickle-friendly value object, so the process-per-shard executor
-    can ship it over its worker pipes unchanged.
+    plain pickle-friendly value object, so the federated cluster can ship it
+    inside a ``STATE`` frame unchanged.
     """
 
     version: int
@@ -244,10 +244,6 @@ class StreamingMonitor:
         Window grid configuration (three-minute non-overlapping by default).
     detector_params:
         Pan–Tompkins tuning of the streaming R-peak detector.
-    feature_cache:
-        Enable the overlap-aware per-beat partial cache of the feature
-        extractor (bit-identical either way; the flag exists so parity can
-        be asserted and the cache disabled in A/B comparisons).
     lossy:
         Datagram-transport mode.  ``seq`` becomes the *absolute sample
         offset* of the chunk's first sample (not a chunk counter): a jump
@@ -260,13 +256,12 @@ class StreamingMonitor:
     #: Not captured by :meth:`snapshot`, and pinned so by the
     #: ``snapshot-completeness`` rule of :mod:`repro.analysis`: the classifier
     #: is fleet-owned (a migrated patient is classified by the *destination*
-    #: fleet's registry), the feature extractor (with the ``feature_cache``
-    #: flag that configures it) carries pure cache state — a revived monitor
-    #: rebuilds an empty cache and reseeds it from the first window it emits,
-    #: bit-identically — and ``lossy`` is transport configuration owned by
-    #: the fleet (a whole fleet is lossy or strict, never patient by
-    #: patient), reapplied by ``from_snapshot``.
-    _SNAPSHOT_EXCLUDE = ("classifier", "_extractor", "feature_cache", "lossy")
+    #: fleet's registry), the feature extractor is stateless (a revived
+    #: monitor builds a fresh one that computes every window identically)
+    #: and ``lossy`` is transport configuration owned by the fleet (a whole
+    #: fleet is lossy or strict, never patient by patient), reapplied by
+    #: ``from_snapshot``.
+    _SNAPSHOT_EXCLUDE = ("classifier", "_extractor", "lossy")
 
     def __init__(
         self,
@@ -275,17 +270,15 @@ class StreamingMonitor:
         classifier=None,
         windowing: WindowingParams | None = None,
         detector_params: PanTompkinsParams | None = None,
-        feature_cache: bool = True,
         lossy: bool = False,
     ) -> None:
         self.patient_id = int(patient_id)
         self.fs = float(fs)
         self.classifier = classifier
-        self.feature_cache = bool(feature_cache)
         self.lossy = bool(lossy)
         self._detector = StreamingPeakDetector(self.fs, detector_params)
         self._windower = StreamingWindower(windowing)
-        self._extractor = FeatureExtractor(feature_cache=self.feature_cache)
+        self._extractor = FeatureExtractor()
         self._sequence = SequenceTracker()
         self._n_windows = 0
         self._n_usable = 0
@@ -350,7 +343,6 @@ class StreamingMonitor:
         cls,
         state: MonitorState,
         classifier=None,
-        feature_cache: bool = True,
         lossy: bool = False,
     ) -> "StreamingMonitor":
         """Revive a monitor from a :class:`MonitorState`, mid-stream.
@@ -376,7 +368,6 @@ class StreamingMonitor:
             classifier=classifier,
             windowing=state.windower.params,
             detector_params=state.detector.params,
-            feature_cache=feature_cache,
             lossy=lossy,
         )
         monitor._detector = StreamingPeakDetector.from_snapshot(state.detector)
@@ -411,8 +402,11 @@ class StreamingMonitor:
         emitted window ever spans the missing samples) and the chunk is then
         processed normally.  Every lossy push must carry a ``seq``; the gap
         arithmetic is what keeps the monitor's clock aligned with the true
-        stream.
+        stream, so a lossy push without one raises ``ValueError`` before
+        touching any state.
         """
+        if self.lossy and seq is None:
+            raise ValueError("a lossy push must carry seq, the absolute sample offset of chunk[0]")
         span = 0
         if seq is not None:
             seq = int(seq)
@@ -449,8 +443,8 @@ class StreamingMonitor:
           covers samples whose detection no longer depends on the gap, and
           its start lands exactly where a lossless run would have put a
           window.  The absolute beat index keeps counting past the dropped
-          beats, so the downstream ``BeatPartialCache`` reseeds instead of
-          aliasing pre-gap beats with post-gap ones.
+          beats, so no post-gap window's beats are numbered like pre-gap
+          ones.
 
         Returns the number of grid windows abandoned (also accumulated in
         :attr:`windows_reset_by_gap`).  Raises ``ValueError`` when

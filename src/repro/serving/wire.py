@@ -168,20 +168,6 @@ class SequenceError(ValueError):
         self.seq = int(seq)
         self.expected = int(expected)
 
-    def __reduce__(self) -> tuple[object, tuple[object, ...]]:
-        # Keyword-only constructor args defeat the default exception pickling
-        # (needed when a shard worker process reports a sequence violation).
-        return (
-            _rebuild_sequence_error,
-            (type(self), self.args[0], self.seq, self.expected),
-        )
-
-
-def _rebuild_sequence_error(
-    cls: type[SequenceError], message: str, seq: int, expected: int
-) -> SequenceError:
-    return cls(message, seq=seq, expected=expected)
-
 
 class DuplicateChunkError(SequenceError):
     """The chunk's sequence number was already consumed."""

@@ -131,10 +131,9 @@ class BeatWindow:
     ``first_beat_index`` is the absolute index (counting every beat ever
     pushed into the emitting :class:`StreamingWindower`, across retirements
     and resets) of ``beat_times_s[0]``.  Overlapping windows emitted by one
-    windower therefore share absolute beat indices, which is the key of the
-    overlap-aware feature cache
-    (:class:`repro.features.cache.BeatPartialCache`).  ``-1`` means "unknown
-    provenance" (hand-built windows); caches fall back to a full recompute.
+    windower therefore share absolute beat indices, and a window's beats can
+    be traced back to the stream that produced them.  ``-1`` means "unknown
+    provenance" (hand-built windows).
     """
 
     start_s: float

@@ -1,21 +1,19 @@
-"""Hot-path pinning tests: ring windower, overlap feature cache, fused kernel.
+"""Hot-path pinning tests: ring windower, fused kernel, batch extraction.
 
-This optimisation round rebuilt three layers for raw speed — the ring-buffer
-:class:`~repro.signals.windows.StreamingWindower`, the overlap-aware
-:class:`~repro.features.cache.BeatPartialCache` and the preallocated fused
-batch pipeline of :class:`~repro.quant.quantized_model.QuantizedSVM` — all
+Two layers were rebuilt for raw speed — the ring-buffer
+:class:`~repro.signals.windows.StreamingWindower` and the preallocated fused
+batch pipeline of :class:`~repro.quant.quantized_model.QuantizedSVM` — both
 under one contract: **bit-exactness** against the straightforward reference
 computation.  These tests pin that contract:
 
 * a hypothesis property that the ring windower (forced to wrap and grow by a
   tiny initial capacity, with a snapshot/restore mid-stream) emits windows
-  bit-identical to a one-shot push of the same beats,
-* feature-cache parity fuzz (cached vs ``feature_cache=False``) over
-  overlapping streamed windows, the seizure-enriched offline stride
-  (``seizure_step_s < step_s``), and a windower reset after a gap,
+  bit-identical to a one-shot push of the same beats, and that absolute
+  beat indices stay monotone across restores and resets,
 * fused-kernel parity against the reference per-row path across random
   quantization configs, batch shapes, threads, pickling and the wide-word
-  fallback.
+  fallback,
+* batch feature extraction matching the per-window path.
 """
 
 import pickle
@@ -25,17 +23,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.features.cache import BeatPartialCache
 from repro.features.extractor import FeatureExtractor
 from repro.quant import QuantizationConfig, QuantizedSVM
-from repro.serving import MonitorFleet, StreamingMonitor
-from repro.signals.dataset import CohortParams, generate_cohort
-from repro.signals.windows import (
-    BeatWindow,
-    StreamingWindower,
-    WindowingParams,
-    extract_windows,
-)
+from repro.signals.windows import StreamingWindower, WindowingParams
 from repro.svm.model import train_svm
 
 
@@ -61,6 +51,23 @@ def _beat_stream(rng, n_beats):
     times = np.cumsum(rr)
     amps = 1.0 + 0.3 * rng.standard_normal(n_beats)
     return times, amps
+
+
+def _stream_windows(params, times, amps, rng, resets=()):
+    """Windows emitted from a chunked stream, with optional mid-stream resets.
+
+    ``resets`` holds chunk indices; before pushing that chunk the windower is
+    reset to the chunk's first beat time (a gap in the stream).
+    """
+    windower = StreamingWindower(params)
+    edges = np.sort(rng.integers(0, times.shape[0] + 1, size=6))
+    edges = np.concatenate(([0], edges, [times.shape[0]])).astype(int)
+    out = []
+    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        if k in resets and hi > lo:
+            windower.reset(float(times[lo]) - 0.01)
+        out.extend(windower.push(times[lo:hi], amps[lo:hi]))
+    return out
 
 
 class TestRingWindowerProperty:
@@ -112,148 +119,16 @@ class TestRingWindowerProperty:
         assert all(f >= 0 for f in firsts)
         assert firsts == sorted(firsts)
 
-
-def _stream_windows(params, times, amps, rng, resets=()):
-    """Windows emitted from a chunked stream, with optional mid-stream resets.
-
-    ``resets`` holds chunk indices; before pushing that chunk the windower is
-    reset to the chunk's first beat time (a gap in the stream).
-    """
-    windower = StreamingWindower(params)
-    edges = np.sort(rng.integers(0, times.shape[0] + 1, size=6))
-    edges = np.concatenate(([0], edges, [times.shape[0]])).astype(int)
-    out = []
-    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        if k in resets and hi > lo:
-            windower.reset(float(times[lo]) - 0.01)
-        out.extend(windower.push(times[lo:hi], amps[lo:hi]))
-    return out
-
-
-class TestFeatureCacheParity:
-    def _assert_parity(self, windows):
-        cached = FeatureExtractor(feature_cache=True)
-        uncached = FeatureExtractor(feature_cache=False)
-        assert cached._cache is not None
-        assert uncached._cache is None
-        compared = 0
-        for window in windows:
-            try:
-                expected = uncached.extract_beat_window(window)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    cached.extract_beat_window(window)
-                continue
-            got = cached.extract_beat_window(window)
-            assert np.array_equal(expected, got)
-            compared += 1
-        return compared, cached._cache
-
-    def test_overlapping_stream_bit_identical(self):
-        rng = np.random.default_rng(11)
-        times, amps = _beat_stream(rng, 700)
-        params = WindowingParams(window_s=40.0, step_s=10.0, min_beats=8)
-        windows = _stream_windows(params, times, amps, rng)
-        compared, cache = self._assert_parity(windows)
-        assert compared >= 10
-        # The whole point of the cache: overlapping windows actually hit it.
-        assert cache.hits >= compared - 2
-
-    def test_reset_after_gap_invalidates_cleanly(self):
-        """A windower reset (stream gap) must not alias pre-gap partials onto
-        post-gap windows: absolute beat indices keep growing across resets."""
+    def test_absolute_beat_index_monotone_across_resets(self):
+        """A windower reset (stream gap) drops the partial windows but keeps
+        counting beats, so no post-gap window reuses a pre-gap beat index."""
         rng = np.random.default_rng(12)
         times, amps = _beat_stream(rng, 600)
         params = WindowingParams(window_s=30.0, step_s=7.5, min_beats=8)
         windows = _stream_windows(params, times, amps, rng, resets={2, 4})
         firsts = [w.first_beat_index for w in windows]
+        assert len(firsts) >= 5
         assert firsts == sorted(firsts)
-        compared, _ = self._assert_parity(windows)
-        assert compared >= 5
-
-    def test_seizure_enriched_stride_parity(self):
-        """The offline seizure-context grid (``seizure_step_s < step_s``)
-        produces irregular, non-monotone overlaps; the cache must reseed or
-        hit correctly and stay bit-identical throughout."""
-        cohort = generate_cohort(
-            CohortParams(
-                n_patients=1,
-                n_sessions=1,
-                session_duration_s=1800.0,
-                total_seizures=2,
-                seed=5,
-            )
-        )
-        recording = cohort.recordings[0]
-        params = WindowingParams(
-            window_s=180.0, step_s=90.0, seizure_step_s=30.0, min_beats=40
-        )
-        offline = extract_windows(recording, params)
-        assert any(
-            0 < (b.start_s - a.start_s) < params.step_s
-            for a, b in zip(offline, offline[1:])
-        ), "expected the seizure-context grid to densify the stride"
-        beat_windows = [
-            BeatWindow(
-                start_s=w.start_s,
-                end_s=w.end_s,
-                beat_times_s=w.beats_of(recording),
-                rr_s=w.rr_of(recording),
-                r_amplitudes_mv=w.r_amplitudes_of(recording),
-                first_beat_index=w.beat_slice.start,
-            )
-            for w in offline
-        ]
-        compared, cache = self._assert_parity(beat_windows)
-        assert compared >= 10
-        assert cache.hits > 0
-
-    def test_unknown_provenance_skips_cache(self):
-        rng = np.random.default_rng(13)
-        times, amps = _beat_stream(rng, 60)
-        window = BeatWindow(
-            start_s=0.0,
-            end_s=float(times[-1]),
-            beat_times_s=times,
-            rr_s=np.diff(times),
-            r_amplitudes_mv=amps,
-        )
-        assert window.first_beat_index == -1
-        cached = FeatureExtractor(feature_cache=True)
-        uncached = FeatureExtractor(feature_cache=False)
-        assert np.array_equal(
-            cached.extract_beat_window(window), uncached.extract_beat_window(window)
-        )
-        assert cached._cache.hits == 0 and cached._cache.reseeds == 0
-
-    def test_cache_reseeds_on_mismatched_overlap(self):
-        cache = BeatPartialCache()
-        rng = np.random.default_rng(14)
-        rr = rng.uniform(0.5, 1.0, size=40)
-        cache.partials_for(0, rr[:30])
-        # Same index range, different values: the overlap check must reject
-        # the stale run and reseed rather than stitch wrong partials.
-        altered = rr[:30].copy()
-        altered[10] += 0.25
-        partials = cache.partials_for(0, altered)
-        assert partials is not None
-        assert np.array_equal(partials.hr, 60.0 / altered)
-        assert cache.reseeds == 2
-
-    def test_flag_plumbs_through_serving_layers(self):
-        monitor = StreamingMonitor(patient_id=1, fs=128.0, feature_cache=False)
-        assert monitor._extractor._cache is None
-        restored = StreamingMonitor.from_snapshot(
-            monitor.snapshot(), feature_cache=False
-        )
-        assert restored.feature_cache is False
-        assert restored._extractor._cache is None
-
-        model, _ = _random_model(np.random.default_rng(15))
-        detector = QuantizedSVM(model, QuantizationConfig(feature_bits=9, coeff_bits=15))
-        fleet = MonitorFleet(detector, fs=128.0, feature_cache=False)
-        fleet.add_patient(7)
-        assert fleet.monitor(7)._extractor._cache is None
 
 
 def _random_model(rng, n_samples=40, n_features=6):
@@ -374,7 +249,7 @@ class TestBatchExtraction:
             n = int(rng.integers(3, 80))  # some below the 8-beat usability bar
             times, amps = _beat_stream(rng, n)
             items.append((times, np.diff(times), amps))
-        extractor = FeatureExtractor(feature_cache=False)
+        extractor = FeatureExtractor()
         X, kept = extractor.extract_batch(items)
         assert X.shape[0] == len(kept)
         for row, idx in zip(X, kept):

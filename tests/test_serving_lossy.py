@@ -386,6 +386,37 @@ class TestCommitOnSuccess:
         assert monitor.n_gaps == 1
 
 
+class TestLossyPushRequiresSeq:
+    """A lossy push without ``seq`` used to be accepted without moving the
+    tracker, so the next push with a real offset read as a phantom gap."""
+
+    def test_monitor_rejects_seqless_push_before_touching_state(self):
+        monitor = StreamingMonitor(1, 128.0, lossy=True)
+        x = np.zeros(512)
+        before = monitor.snapshot()
+        with pytest.raises(ValueError, match="seq"):
+            monitor.push(x)
+        assert monitor.snapshot() == before
+        monitor.push(x, seq=0)
+        monitor.push(x, seq=512)
+        assert monitor.n_gaps == 0
+
+    def test_fleet_rejects_seqless_push(self, quantized_detector):
+        fleet = MonitorFleet(quantized_detector, 128.0, lossy=True)
+        x = np.zeros(512)
+        with pytest.raises(ValueError, match="seq"):
+            fleet.push(1, x)
+        fleet.push(1, x, seq=0)
+        fleet.push(1, x, seq=512)
+        assert fleet.gap_stats().gaps == 0
+        assert fleet.stats().chunks_since_drain == 2
+
+    def test_lossy_gateway_cannot_drop_seqs(self, quantized_detector):
+        fleet = MonitorFleet(quantized_detector, FS, windowing=WINDOWING, lossy=True)
+        with pytest.raises(ValueError, match="seq"):
+            IngestGateway(fleet, lossy=True, enforce_seq=False)
+
+
 # ---------------------------------------------------------------------------
 # Gateway: marker compaction, ledger-at-every-await, loss-pattern fuzz
 # ---------------------------------------------------------------------------

@@ -217,28 +217,6 @@ class TestChurnParityFuzz:
             drains = _apply_schedule(fleet, workload["frames"], schedule, churn=True)
         _assert_drains_identical(reference, drains, exact_scores=False)
 
-    def test_process_backend_churn_parity(self, workload, quantized_detector):
-        """The worker-pipe migration path: states pickle across processes."""
-        schedule = [
-            ("push", 10),
-            ("reshard", 4),
-            ("push", 8),
-            ("drain",),
-            ("remove_shard",),
-            ("push", 8),
-            ("reshard", 1),
-            ("drain",),
-            ("add_shard",),
-            ("push", 8),
-            ("reshard", 2),
-        ]
-        reference = self._reference(workload, quantized_detector, schedule)
-        with ShardedFleet(
-            quantized_detector, FS, n_shards=2, windowing=WINDOWING, backend="process"
-        ) as fleet:
-            drains = _apply_schedule(fleet, workload["frames"], schedule, churn=True)
-        _assert_drains_identical(reference, drains, exact_scores=True)
-
 
 class TestGatewayReshard:
     """Resharding through the TCP gateway: parity plus the ledger invariant."""
@@ -344,8 +322,8 @@ class TestMonitorStateRoundTrip:
         state = original.snapshot()
         assert state.version == MONITOR_STATE_VERSION
         assert state.has_monitor
-        # The pickle round trip is exactly what the process backend ships
-        # over its worker pipes.
+        # The pickle round trip is exactly what the federated cluster ships
+        # inside a STATE frame.
         revived_state = pickle.loads(pickle.dumps(state))
         assert revived_state == state
         revived = StreamingMonitor.from_snapshot(revived_state)

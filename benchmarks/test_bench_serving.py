@@ -43,7 +43,7 @@ from repro.serving import (
 )
 from repro.svm.model import train_svm
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import interleaved_ratio, run_once
 
 #: Number of simultaneous pending windows in the simulated fleet drain.
 TARGET_WINDOWS = 512
@@ -365,40 +365,44 @@ def test_bench_heterogeneous_registry_drain(benchmark, experiment_data):
     assert n / t_het >= 0.7 * (n / t_homo)
 
 
-def _measure_reshard(detector, pending, repeats=7):
-    """Drain throughput before / after a live 4→8 reshard, plus its cost.
-
-    Same methodology as :func:`_measure_sharded` (allocator warm-up, GC
-    parked outside timed regions, best-of-N cycles), on ONE long-lived fleet:
-    every patient is given live DSP state first, then steady-state enqueue+
-    drain cycles are timed at 4 shards, the reshard itself is timed once
-    (wall-clock cost of migrating the reassigned patients' monitor state),
-    and the same cycles are re-timed at 8 shards.
-    """
-    for _ in range(50):
-        _warm = np.empty(1 << 21)
-        del _warm
-    fleet = ShardedFleet(detector, FS, n_shards=RESHARD_FROM)
+def _live_fleet(detector, n_shards):
+    fleet = ShardedFleet(detector, FS, n_shards=n_shards)
     # Live mid-stream state on every monitor: a chunk too short to finalise,
     # so the reshard really migrates DSP carry-over, not empty shells.
     for pid in range(RESHARD_PATIENTS):
         fleet.push(pid, np.zeros(512), seq=0)
-    t_before = t_after = float("inf")
-    before_decisions = after_decisions = None
+    return fleet
+
+
+def _measure_reshard(detector, pending, pairs=9):
+    """Drain throughput before / after a live 4→8 reshard, plus its cost.
+
+    Same warm-up as :func:`_measure_sharded`, on two identically fed fleets:
+    one stays at 4 shards, the other is resharded to 8 (timed once: the
+    wall-clock cost of migrating the reassigned patients' monitor state).
+    Steady-state enqueue+drain cycles then alternate between them in
+    back-to-back pairs (``interleaved_ratio``), and the throughput ratio is
+    the median per-pair ratio, so host drift between the "before" and the
+    "after" phase of one fleet cannot masquerade as a slowdown.
+    """
+    for _ in range(50):
+        _warm = np.empty(1 << 21)
+        del _warm
+    before = _live_fleet(detector, RESHARD_FROM)
+    after = _live_fleet(detector, RESHARD_FROM)
+    t0 = time.perf_counter()
+    moved = after.reshard(RESHARD_TO)
+    t_reshard = time.perf_counter() - t0
     # One untimed cycle on each side: the comparison is steady state vs
     # steady state, not first-touch allocation vs warm caches.
-    _timed_drain(fleet, pending, sort=False)
-    for _ in range(repeats):
-        elapsed, before_decisions = _timed_drain(fleet, pending, sort=False)
-        t_before = min(t_before, elapsed)
-    t0 = time.perf_counter()
-    moved = fleet.reshard(RESHARD_TO)
-    t_reshard = time.perf_counter() - t0
-    _timed_drain(fleet, pending, sort=False)
-    for _ in range(repeats):
-        elapsed, after_decisions = _timed_drain(fleet, pending, sort=False)
-        t_after = min(t_after, elapsed)
-    return t_before, before_decisions, t_reshard, moved, t_after, after_decisions
+    _timed_drain(before, pending, sort=False)
+    _timed_drain(after, pending, sort=False)
+    ratio, t_before, t_after, before_decisions, after_decisions = interleaved_ratio(
+        lambda: _timed_drain(before, pending, sort=False),
+        lambda: _timed_drain(after, pending, sort=False),
+        pairs,
+    )
+    return ratio, t_before, before_decisions, t_reshard, moved, t_after, after_decisions
 
 
 def test_bench_live_reshard(benchmark, experiment_data):
@@ -407,9 +411,10 @@ def test_bench_live_reshard(benchmark, experiment_data):
     Two numbers matter for a production scale-out: what the migration itself
     costs (it quiesces the moving patients for that long) and whether the
     fleet still performs afterwards.  The acceptance bar pins the latter:
-    steady-state drain throughput after the reshard must be >= 0.9x the
-    throughput before it (in practice 8 shard-sized batches are *faster*
-    than 4 on this workload; 0.9x guards the regression, not the win).
+    steady-state drain throughput after the reshard must be >= 0.75x the
+    throughput before it, as the median per-pair ratio of interleaved drains
+    (measured solo the two hold ~1.0x; 0.75x guards the regression, not the
+    win).
     """
     features = experiment_data.features
     model = train_svm(features.X, features.y)
@@ -428,7 +433,7 @@ def test_bench_live_reshard(benchmark, experiment_data):
         for i in range(RESHARD_WINDOWS)
     ]
 
-    t_before, before_decisions, t_reshard, moved, t_after, after_decisions = run_once(
+    ratio, t_before, before_decisions, t_reshard, moved, t_after, after_decisions = run_once(
         benchmark, _measure_reshard, detector, pending
     )
 
@@ -444,8 +449,8 @@ def test_bench_live_reshard(benchmark, experiment_data):
         % (1e3 * t_reshard, len(moved), RESHARD_PATIENTS)
     )
     print(
-        "drain after reshard       : %8.0f windows/s  (%.2fx before)"
-        % (n / t_after, t_before / t_after)
+        "drain after reshard       : %8.0f windows/s  (%.2fx before, median pair)"
+        % (n / t_after, ratio)
     )
 
     # Migration is minimal (the consistent-hashing promise) and decisions
@@ -459,7 +464,7 @@ def test_bench_live_reshard(benchmark, experiment_data):
     # slack absorbs single-core scheduling jitter (doubling the shard count
     # on one core adds fixed per-shard submit/merge overhead whose relative
     # weight grew when the fused int32 kernel halved classify cost).
-    assert n / t_after >= 0.75 * (n / t_before)
+    assert ratio >= 0.75
 
 
 def _gateway_frames():

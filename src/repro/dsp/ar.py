@@ -21,7 +21,7 @@ variance.  :func:`ar_power_spectrum` evaluates the implied parametric PSD.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -54,39 +54,38 @@ def ar_burg(x: np.ndarray, order: int) -> Tuple[np.ndarray, float]:
     # Forward and backward prediction errors; both shrink by one sample per
     # model order as in the classic Burg recursion.  The recursion runs on a
     # fixed set of scratch buffers (ping-pong pairs for f/b, one temporary
-    # for the scaled cross term) so each iteration performs zero allocations;
-    # every arithmetic step matches the allocating formulation operation for
-    # operation, so the coefficients are bit-identical.
+    # for the scaled cross term) so each iteration performs zero vector
+    # allocations.  Its scalar side — the BLAS dot products read back as
+    # Python floats, the reflection coefficient, the noise variance and the
+    # coefficient recursion on a list — issues the same IEEE operations, in
+    # the same order and on the same operands, as a formulation on NumPy
+    # scalars and vectors, so its results match that one bit for bit while
+    # skipping a NumPy dispatch per operation.
     f = x.copy()
     b = x.copy()
     f_spare = np.empty(max(n - 1, 1))
     b_spare = np.empty(max(n - 1, 1))
     scratch = np.empty(max(n - 1, 1))
-    energy = np.dot(x, x) / n
+    energy = float(x.dot(x)) / n
 
-    coeffs = np.zeros(order)
-    prev = np.empty(order)
-    k = 0
+    coeffs: List[float] = []
     length = n
     for _ in range(order):
         m = length - 1
         ef = f[1:length]
-        eb = b[: length - 1]
-        den = np.dot(ef, ef) + np.dot(eb, eb)
-        reflection = 0.0 if den <= 1e-30 else -2.0 * np.dot(eb, ef) / den
+        eb = b[:m]
+        den = float(ef.dot(ef)) + float(eb.dot(eb))
+        reflection = 0.0 if den <= 1e-30 else -2.0 * float(eb.dot(ef)) / den
         # Update the error-filter coefficients (Levinson-style recursion):
-        # new[:k] = coeffs[:k] + reflection * coeffs[:k][::-1].
-        if k > 0:
-            prev[:k] = coeffs[:k]
-            np.multiply(prev[k - 1 :: -1], reflection, out=coeffs[:k])
-            np.add(coeffs[:k], prev[:k], out=coeffs[:k])
-        coeffs[k] = reflection
-        k += 1
+        # new[i] = old[k-1-i] * reflection + old[i], then append reflection.
+        coeffs = [c_rev * reflection + c for c_rev, c in zip(reversed(coeffs), coeffs)]
+        coeffs.append(reflection)
         # Update the prediction errors: f' = ef + r*eb, b' = eb + r*ef.
-        np.multiply(eb, reflection, out=scratch[:m])
-        np.add(ef, scratch[:m], out=f_spare[:m])
-        np.multiply(ef, reflection, out=scratch[:m])
-        np.add(eb, scratch[:m], out=b_spare[:m])
+        cross = scratch[:m]
+        np.multiply(eb, reflection, out=cross)
+        np.add(ef, cross, out=f_spare[:m])
+        np.multiply(ef, reflection, out=cross)
+        np.add(eb, cross, out=b_spare[:m])
         f, f_spare = f_spare, f
         b, b_spare = b_spare, b
         length = m
@@ -94,8 +93,8 @@ def ar_burg(x: np.ndarray, order: int) -> Tuple[np.ndarray, float]:
 
     # Convert from the "error filter" convention (1 + c1 z^-1 + ...) to the
     # prediction convention x[n] = sum a_k x[n-k] + e[n].
-    a = -coeffs
-    return a, float(max(energy, 0.0))
+    a = -np.array(coeffs)
+    return a, max(energy, 0.0)
 
 
 def levinson_durbin(autocorr: np.ndarray, order: int) -> Tuple[np.ndarray, float]:

@@ -79,11 +79,13 @@ def detrend(x: np.ndarray) -> np.ndarray:
         t = np.arange(n, dtype=float)
         t -= t.mean()
         t.setflags(write=False)
-        cached = (t, float(np.dot(t, t)))
+        cached = (t, float(t.dot(t)))
         _DETREND_CACHE[n] = cached
     t, t_dot_t = cached
-    centred = x - x.mean()
-    slope = np.dot(t, centred) / t_dot_t
+    # ``x.mean()`` and ``np.dot`` without their wrappers: the same reduction
+    # over n, the same BLAS dot, so the same bits.
+    centred = x - np.add.reduce(x) / n
+    slope = t.dot(centred) / t_dot_t
     return centred - slope * t
 
 

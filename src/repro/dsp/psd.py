@@ -16,22 +16,29 @@ The implementation is hot-path tuned without changing a single output bit
   (row-wise FFTs are bitwise identical to per-segment 1-D FFTs); the
   periodogram average still accumulates row by row in the original
   sequential order, because changing a float summation order changes bits.
-  A signal that holds a single segment (every analysis window of the
-  monitor) skips the strided segment view.
 * :func:`band_powers` integrates every band from one shared trapezoid-panel
   vector instead of re-slicing the PSD per band; each band's panel sum uses
   the same ``np.add.reduce`` order the trapezoid rule uses, and bands of
   fewer than 8 panels are summed together as the zero-padded rows of one
   matrix.
+* :func:`welch_band_powers` fuses the two for a signal that holds one Welch
+  segment (every analysis window of the monitor).  Everything that depends
+  only on ``(segment length, fs, band edges)`` — the Hann window, the
+  ``fs·Σw²`` normaliser, the one-sided doubling as a vector of ones and twos,
+  the trapezoid widths and each band's gather row or slice bounds — is
+  built once into a memoised spectral plan, so a window pays only for the
+  FFT and the handful of ufuncs that touch its data, issued in the same
+  order as ``band_powers(*welch_psd(...))``.  A signal long enough for
+  several segments takes that composition itself.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["welch_psd", "band_power", "band_powers"]
+__all__ = ["welch_psd", "band_power", "band_powers", "welch_band_powers"]
 
 #: ``np.trapz`` was renamed to ``np.trapezoid`` in NumPy 2.0; support both.
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -112,14 +119,9 @@ def welch_psd(
 
     window, window_power = _hann(segment_length)
 
-    if x.size - segment_length < step:
-        # A single segment (every feature window of the monitor): a plain
-        # 2-D view, without the strided view's per-call set-up cost.
-        segments = x[None, :segment_length]
-    else:
-        # One strided view per segment start, exactly the starts of the
-        # original ``range(0, x.size - segment_length + 1, step)`` loop.
-        segments = np.lib.stride_tricks.sliding_window_view(x, segment_length)[::step]
+    # One strided view per segment start, exactly the starts of the
+    # original ``range(0, x.size - segment_length + 1, step)`` loop.
+    segments = np.lib.stride_tricks.sliding_window_view(x, segment_length)[::step]
     count = segments.shape[0]
     if count == 0:
         raise ValueError("could not form any Welch segment")
@@ -175,8 +177,16 @@ def band_powers(
     widths = freqs[1:] - freqs[:-1]  # np.diff, without its wrapper
     if (widths < 0).any():  # unsorted grid: fall back to the reference path
         return np.array([band_power(freqs, psd, lo, hi) for lo, hi in edges])
-    # The same elementwise expression np.trapezoid evaluates internally.
-    panel = widths * (psd[1:] + psd[:-1]) / 2.0
+    return _integrate(_panels(widths, psd), _band_layout(freqs, edges))
+
+
+#: How :func:`_integrate` sums the bands: the gather rows of the narrow-band
+#: matrix, or one slice of the panel vector per band.
+_BandLayout = Union[np.ndarray, List[slice]]
+
+
+def _band_layout(freqs: np.ndarray, edges: Sequence[Tuple[float, float]]) -> _BandLayout:
+    """Which trapezoid panels each band sums, for a sorted grid ``freqs``."""
     edge_arr = np.asarray(edges, dtype=float).reshape(-1, 2)
     first = np.searchsorted(freqs, edge_arr[:, 0], side="left")
     # Panels per band; fewer than two grid points (<= 0 panels) integrate to
@@ -185,16 +195,101 @@ def band_powers(
     span = int(counts.max()) if counts.size else 0
     if span >= _ROW_SUM_LIMIT:
         # Wide bands: NumPy's pairwise summation regroups 8+ terms, so each
-        # band keeps its own slice reduction.
-        out = np.empty(counts.size)
-        for j in range(counts.size):
-            i0 = int(first[j])
-            out[j] = np.add.reduce(panel[i0 : i0 + int(counts[j])]) if counts[j] > 0 else 0.0
-        return out
-    # Narrow bands: one row per band, its panels then zeros, summed in one
-    # reduction.  NumPy adds fewer than 8 terms strictly left to right from
-    # +0.0, so no partial sum is ever -0.0 and every trailing +0.0 leaves it
-    # unchanged: each row sums to its band's slice reduction, bit for bit.
+        # band keeps its own slice reduction (an empty slice sums to +0.0).
+        return [slice(int(i0), int(i0 + max(c, 0))) for i0, c in zip(first, counts)]
+    # Narrow bands: one row per band, its panels then the zero pad entry at
+    # index ``freqs.size - 1``.  NumPy adds fewer than 8 terms strictly left
+    # to right from +0.0, so no partial sum is ever -0.0 and every trailing
+    # +0.0 leaves it unchanged: each row sums to its band's slice reduction,
+    # bit for bit.
     columns = np.arange(max(span, 1))
-    rows = np.where(columns < counts[:, None], first[:, None] + columns, panel.size)
-    return np.add.reduce(np.concatenate((panel, (0.0,)))[rows], axis=1)
+    rows = np.where(columns < counts[:, None], first[:, None] + columns, freqs.size - 1)
+    rows.setflags(write=False)
+    return rows
+
+
+def _panels(widths: np.ndarray, psd: np.ndarray) -> np.ndarray:
+    """Trapezoid panels ``widths * (psd[1:] + psd[:-1]) / 2.0`` — the
+    elementwise expression ``np.trapezoid`` evaluates — plus one +0.0 pad."""
+    padded = np.zeros(psd.size)
+    panel = padded[:-1]
+    np.add(psd[1:], psd[:-1], out=panel)
+    np.multiply(widths, panel, out=panel)
+    np.divide(panel, 2.0, out=panel)
+    return padded
+
+
+def _integrate(padded: np.ndarray, layout: _BandLayout) -> np.ndarray:
+    if isinstance(layout, np.ndarray):
+        return np.add.reduce(padded[layout], axis=1)
+    return np.array([np.add.reduce(padded[band]) for band in layout])
+
+
+class _SpectralPlan(NamedTuple):
+    """Everything a one-segment Welch → band-power pass needs that depends
+    only on ``(segment length, fs, band edges)``."""
+
+    window: np.ndarray
+    #: ``fs * sum(window**2)``, the periodogram normaliser.
+    fs_power: float
+    #: One-sided correction: 1.0 at DC (and at Nyquist for even lengths),
+    #: 2.0 elsewhere.  Multiplying by 1.0 or 2.0 is exact, so one multiply
+    #: equals the in-place ``*= 2.0`` of the interior slice, bit for bit.
+    doubling: np.ndarray
+    #: Trapezoid panel widths of the one-sided frequency grid.
+    widths: np.ndarray
+    layout: _BandLayout
+
+
+#: Memoised spectral plans: (segment length, fs, edge bytes) -> plan.
+_PLAN_CACHE: Dict[Tuple[int, float, bytes], _SpectralPlan] = {}
+
+
+def _spectral_plan(segment_length: int, fs: float, edges: np.ndarray) -> _SpectralPlan:
+    key = (segment_length, fs, edges.tobytes())
+    plan = _PLAN_CACHE.get(key)
+    if plan is None:
+        if len(_PLAN_CACHE) >= _CACHE_LIMIT:
+            _PLAN_CACHE.clear()
+        window, window_power = _hann(segment_length)
+        freqs = _rfftfreq(segment_length, fs)
+        doubling = np.full(freqs.size, 2.0)
+        doubling[0] = 1.0
+        if segment_length % 2 == 0:
+            doubling[-1] = 1.0
+        doubling.setflags(write=False)
+        widths = freqs[1:] - freqs[:-1]
+        widths.setflags(write=False)
+        plan = _SpectralPlan(
+            window, fs * window_power, doubling, widths, _band_layout(freqs, edges)
+        )
+        _PLAN_CACHE[key] = plan
+    return plan
+
+
+def welch_band_powers(x: np.ndarray, fs: float, edges: Sequence[Tuple[float, float]]) -> np.ndarray:
+    """Band powers of the Welch PSD of ``x``, with the feature chain's defaults.
+
+    Returns exactly the bits of
+    ``band_powers(*welch_psd(x, fs, min(256, x.size)), edges)``.  A signal
+    that holds a single Welch segment (every analysis window of the monitor)
+    runs on a memoised :class:`_SpectralPlan`: the same ufuncs on its data, in
+    the same order, with every data-independent step done once per
+    ``(segment length, fs, edges)``.  Longer signals take the composition.
+    Raises ``ValueError`` for a signal too short for PSD estimation.
+    """
+    x = np.asarray(x, dtype=float)
+    n = min(256, x.size)
+    if x.size < 8 or x.size - n >= max(1, n // 2):
+        return band_powers(*welch_psd(x, fs, n), edges)
+    window, fs_power, doubling, widths, layout = _spectral_plan(
+        n, fs, np.asarray(edges, dtype=float)
+    )
+    segment = x[:n]
+    data = segment - np.add.reduce(segment) / n
+    np.multiply(data, window, out=data)
+    power = np.abs(np.fft.rfft(data))
+    np.multiply(power, power, out=power)
+    np.divide(power, fs_power, out=power)
+    np.multiply(power, doubling, out=power)
+    return _integrate(_panels(widths, power), layout)

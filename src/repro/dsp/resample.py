@@ -11,6 +11,7 @@ HRV and respiratory activity lives.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -28,7 +29,8 @@ def resample_beats_to_uniform(
     Parameters
     ----------
     beat_times_s:
-        Time of each beat (seconds), strictly increasing.
+        Time of each beat (seconds), finite and strictly increasing;
+        anything else raises ``ValueError``.
     values:
         Value attached to each beat (same length as ``beat_times_s``).
     fs:
@@ -46,11 +48,15 @@ def resample_beats_to_uniform(
         raise ValueError("beat_times_s and values must have the same shape")
     if beat_times_s.size < 2:
         raise ValueError("need at least two beats to resample")
-    if np.any(np.diff(beat_times_s) <= 0):
+    # ``>`` is False against NaN, so a NaN anywhere fails the order check;
+    # strictly increasing between finite endpoints leaves no room for ±inf.
+    if not (beat_times_s[1:] > beat_times_s[:-1]).all():
         raise ValueError("beat_times_s must be strictly increasing")
-
     start, stop = beat_times_s[0], beat_times_s[-1]
-    n = int(np.floor((stop - start) * fs)) + 1
+    span = (stop - start) * fs
+    if not math.isfinite(span):
+        raise ValueError("beat_times_s must be finite")
+    n = math.floor(span) + 1
     t = start + np.arange(n) / fs
     resampled = np.interp(t, beat_times_s, values)
     return t, resampled

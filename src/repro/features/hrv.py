@@ -15,7 +15,7 @@ from typing import List
 import numpy as np
 
 from repro.dsp.moments import mean, sample_std
-from repro.dsp.psd import band_powers, welch_psd
+from repro.dsp.psd import welch_band_powers
 from repro.dsp.resample import resample_beats_to_uniform
 
 __all__ = ["HRV_FEATURE_NAMES", "hrv_features"]
@@ -88,14 +88,17 @@ def _lf_hf_ratio(rr: np.ndarray, beat_times_s: np.ndarray) -> float:
     if beat_times_s.size >= rr.size + 1:
         times = beat_times_s[1 : rr.size + 1]
     else:
-        # Degenerate call (e.g. synthetic tests): rebuild times from the RRs.
+        # The last RR interval ends at a beat past the window that the
+        # window does not carry.  Every window closed by a boundary beat has
+        # ``rr.size == beat_times_s.size`` and takes this branch, timing the
+        # tachogram by the running sum of the RRs; only windows closed by the
+        # clock (one RR fewer than beats) take the beat-time branch above.
         times = np.cumsum(rr)
     try:
         _, tachogram = resample_beats_to_uniform(times, rr, fs=_TACHOGRAM_FS)
-        freqs, psd = welch_psd(tachogram, fs=_TACHOGRAM_FS, segment_length=min(256, tachogram.size))
+        lf, hf = welch_band_powers(tachogram, _TACHOGRAM_FS, _LF_HF_EDGES).tolist()
     except ValueError:
         return 0.0
-    lf, hf = band_powers(freqs, psd, _LF_HF_EDGES).tolist()
     if hf <= 1e-12:
         return 0.0 if lf <= 1e-12 else 50.0
     return float(min(lf / hf, 50.0))

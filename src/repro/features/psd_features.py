@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.dsp.psd import band_powers, welch_psd
+from repro.dsp.psd import welch_band_powers
 from repro.features.edr import EDR_FS
 
 __all__ = ["PSD_BANDS", "PSD_FEATURE_NAMES", "psd_features"]
@@ -58,9 +58,8 @@ def psd_features(edr: np.ndarray, fs: float = EDR_FS) -> np.ndarray:
     edr = np.asarray(edr, dtype=float)
     if edr.size < 16:
         raise ValueError("EDR segment too short for PSD features")
-    freqs, psd = welch_psd(edr, fs=fs, segment_length=min(256, edr.size))
-    powers = band_powers(freqs, psd, _PSD_EDGES)
-    total = float(np.sum(powers))
+    powers = welch_band_powers(edr, fs, _PSD_EDGES)
+    total = float(np.add.reduce(powers))
     if total <= 1e-18:
         return np.zeros(_N_BANDS)
     return powers / total

@@ -13,7 +13,15 @@ Each function here is the straightforward loop the optimised code in
 * :func:`band_powers` — one ``np.add.reduce`` per band over the shared
   trapezoid panels, the loop behind ``repro.dsp.psd.band_powers``;
 * :func:`welch_psd` — Welch over a sliding-window view of every segment,
-  with no single-segment fast path.
+  with no single-segment fast path;
+* :func:`welch_band_powers` — :func:`welch_psd` then :func:`band_powers`,
+  the composition behind ``repro.dsp.psd.welch_band_powers``;
+* :func:`ar_burg` — Burg with NumPy scalars and a NumPy-vector coefficient
+  update, the formulation behind ``repro.dsp.ar.ar_burg``;
+* :func:`resample_beats_to_uniform` — the ``np.diff``-checked resample
+  (which lets NaN beat times through and overflows on infinite ones);
+* :func:`detrend` — ``x.mean()`` and ``np.dot``, the wrappers behind
+  ``repro.dsp.filters.detrend``.
 """
 
 from __future__ import annotations
@@ -119,3 +127,82 @@ def welch_psd(
     for row in periodograms[1:]:
         psd_acc = psd_acc + row
     return _rfftfreq(segment_length, fs), psd_acc / count
+
+
+def welch_band_powers(x: np.ndarray, fs: float, edges: Sequence[Tuple[float, float]]) -> np.ndarray:
+    """The Welch estimate at the feature chain's segment length, then bands,
+    both through the loops above (no code shared with the fused kernel)."""
+    x = np.asarray(x, dtype=float)
+    return band_powers(*welch_psd(x, fs, min(256, x.size)), edges)
+
+
+def ar_burg(x: np.ndarray, order: int) -> Tuple[np.ndarray, float]:
+    """Burg's recursion with ``np.dot`` scalars and a vector coefficient update."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if order <= 0:
+        raise ValueError("order must be positive")
+    if n <= order:
+        raise ValueError("need more samples than the AR order")
+    f = x.copy()
+    b = x.copy()
+    f_spare = np.empty(max(n - 1, 1))
+    b_spare = np.empty(max(n - 1, 1))
+    scratch = np.empty(max(n - 1, 1))
+    energy = np.dot(x, x) / n
+    coeffs = np.zeros(order)
+    prev = np.empty(order)
+    k = 0
+    length = n
+    for _ in range(order):
+        m = length - 1
+        ef = f[1:length]
+        eb = b[: length - 1]
+        den = np.dot(ef, ef) + np.dot(eb, eb)
+        reflection = 0.0 if den <= 1e-30 else -2.0 * np.dot(eb, ef) / den
+        if k > 0:
+            prev[:k] = coeffs[:k]
+            np.multiply(prev[k - 1 :: -1], reflection, out=coeffs[:k])
+            np.add(coeffs[:k], prev[:k], out=coeffs[:k])
+        coeffs[k] = reflection
+        k += 1
+        np.multiply(eb, reflection, out=scratch[:m])
+        np.add(ef, scratch[:m], out=f_spare[:m])
+        np.multiply(ef, reflection, out=scratch[:m])
+        np.add(eb, scratch[:m], out=b_spare[:m])
+        f, f_spare = f_spare, f
+        b, b_spare = b_spare, b
+        length = m
+        energy *= 1.0 - reflection**2
+    return -coeffs, float(max(energy, 0.0))
+
+
+def resample_beats_to_uniform(
+    beat_times_s: np.ndarray, values: np.ndarray, fs: float = 4.0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Linear interpolation onto a uniform grid, order checked with ``np.diff``."""
+    beat_times_s = np.asarray(beat_times_s, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if beat_times_s.shape != values.shape:
+        raise ValueError("beat_times_s and values must have the same shape")
+    if beat_times_s.size < 2:
+        raise ValueError("need at least two beats to resample")
+    if np.any(np.diff(beat_times_s) <= 0):
+        raise ValueError("beat_times_s must be strictly increasing")
+    start, stop = beat_times_s[0], beat_times_s[-1]
+    n = int(np.floor((stop - start) * fs)) + 1
+    t = start + np.arange(n) / fs
+    return t, np.interp(t, beat_times_s, values)
+
+
+def detrend(x: np.ndarray) -> np.ndarray:
+    """Least-squares line removal through ``mean`` and ``np.dot``."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n < 3:
+        return x - (np.mean(x) if n else 0.0)
+    t = np.arange(n, dtype=float)
+    t -= t.mean()
+    centred = x - x.mean()
+    slope = np.dot(t, centred) / float(np.dot(t, t))
+    return centred - slope * t

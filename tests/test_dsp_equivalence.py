@@ -1,12 +1,13 @@
 """Bit-exactness of the vectorised front end against its loop oracles.
 
-The R-peak walk, the band-power sums, the single-segment Welch path and the
-window moments in ``src/repro`` each replaced a straightforward loop or NumPy
-wrapper.  The loops live on in ``tests/oracles.py``; every property here
-demands ``np.array_equal`` (or equal bits) between oracle and production
-code, on realistic leads and on the hostile ones — flat, saturated, and
-spiked with NaN/inf samples — at fs ∈ {64, 128, 256} and random chunk
-partitions.
+The R-peak walk, the band-power sums, the single-segment Welch path, the
+fused Welch → band-power plan, Burg's scalar side, the resample order check,
+the detrend and the window moments in ``src/repro`` each replaced a
+straightforward loop or NumPy wrapper.  The loops live on in
+``tests/oracles.py``; every property here demands ``np.array_equal`` (or
+equal bits) between oracle and production code, on realistic leads and on
+the hostile ones — flat, saturated, and spiked with NaN/inf samples — at
+fs ∈ {64, 128, 256} and random chunk partitions.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dsp import peaks
-from repro.dsp.filters import moving_average
+from repro.dsp.ar import ar_burg
+from repro.dsp.filters import detrend, moving_average
 from repro.dsp.moments import mean, sample_std
 from repro.dsp.peaks import StreamingPeakDetector, detect_r_peaks
-from repro.dsp.psd import band_power, band_powers, welch_psd
+from repro.dsp.psd import band_power, band_powers, welch_band_powers, welch_psd
 from repro.dsp.resample import resample_beats_to_uniform
 from repro.features.hrv import HF_BAND, LF_BAND, hrv_features
 from repro.features.lorenz import lorenz_features
+from repro.features.psd_features import PSD_BANDS
 from repro.signals.ecg_model import ECGWaveformParams, synthesize_ecg
 from repro.signals.respiration import generate_respiration
 from repro.signals.rr_model import RRModelParams, generate_rr_series
@@ -320,3 +323,105 @@ def test_hrv_and_lorenz_match_numpy_wrappers(seed, n):
     sd1 = float(np.std(diff, ddof=1)) * 1000.0
     sd2 = float(np.std(summ, ddof=1)) * 1000.0
     assert lorenz_features(rr)[:2].tolist() == [sd1, sd2]
+
+
+# --------------------------------------------------------------------------
+# Fused Welch -> band powers, Burg, resample and detrend vs their oracles
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def band_edges(draw):
+    """The PSD features' 29 narrow bands, HRV's two wide ones, or odd bands."""
+    kind = draw(st.sampled_from(["psd", "lf_hf", "odd"]))
+    if kind == "psd":
+        return np.asarray(PSD_BANDS)
+    if kind == "lf_hf":
+        return np.array([LF_BAND, HF_BAND])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lows = rng.uniform(-0.2, 2.5, size=draw(st.integers(0, 12)))
+    # Reversed, narrower than the grid step (< 2 points), narrow and wide.
+    widths = rng.choice([-0.1, 0.0, 0.003, 0.05, 0.4, 1.5], size=lows.size)
+    return np.stack((lows, lows + widths), axis=1)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 400),
+    fs=st.sampled_from([4.0, 1.0, 7.3]),
+    edges=band_edges(),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    spikes=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2),
+)
+@settings(max_examples=300, deadline=None)
+def test_welch_band_powers_match_the_composition(seed, n, fs, edges, scale, spikes):
+    rng = np.random.default_rng(seed)
+    x = scale * (rng.standard_normal(n) + np.sin(2 * np.pi * 0.3 * np.arange(n) / fs)) + 2.0
+    x[rng.integers(0, n, size=len(spikes))] = spikes
+    expected = band_powers(*welch_psd(x, fs, min(256, n)), edges)
+    assert _same_bits(oracles.welch_band_powers(x, fs, edges), expected)
+    assert _same_bits(welch_band_powers(x, fs, edges), expected)
+    # A second call runs on the memoised plan.
+    assert _same_bits(welch_band_powers(x, fs, edges), expected)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_welch_band_powers_reject_short_signals(n):
+    with pytest.raises(ValueError):
+        welch_band_powers(np.ones(n), 4.0, PSD_BANDS)
+
+
+@st.composite
+def burg_inputs(draw):
+    order = draw(st.integers(1, 12))
+    n = draw(st.integers(order + 1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-8, 1e-4, 1.0, 1e4, 1e8]))
+    kind = draw(st.sampled_from(["noise", "ar", "sine", "zeros", "tiny", "impulse"]))
+    if kind == "noise":
+        x = rng.standard_normal(n)
+    elif kind == "ar":  # a stable AR(2) respiration-like oscillation
+        e = rng.standard_normal(n)
+        x = np.zeros(n)
+        for i in range(n):
+            x[i] = e[i] + (1.6 * x[i - 1] - 0.9 * x[i - 2] if i >= 2 else 0.0)
+    elif kind == "sine":  # exactly predictable at order 2: errors collapse
+        x = np.sin(2 * np.pi * rng.uniform(0.01, 0.45) * np.arange(n))
+    elif kind == "zeros":
+        x = np.zeros(n)
+    elif kind == "tiny":  # every den <= 1e-30: all reflections are zero
+        x = 1e-17 * rng.standard_normal(n) / scale
+    else:
+        x = np.zeros(n)
+        x[rng.integers(0, n)] = 1.0
+    return scale * x, order
+
+
+@given(inputs=burg_inputs())
+@settings(max_examples=400, deadline=None)
+def test_burg_matches_vector_update_oracle(inputs):
+    x, order = inputs
+    coefficients, noise = ar_burg(x, order)
+    ref_coefficients, ref_noise = oracles.ar_burg(x, order)
+    assert _same_bits(coefficients, ref_coefficients)
+    assert _same_bits(np.float64(noise), np.float64(ref_noise))
+    assert type(noise) is float
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 200),
+    fs=st.sampled_from([4.0, 1.0, 7.3]),
+    origin=st.sampled_from([0.0, 3.7, 86400.0, -12.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_resample_and_detrend_match_their_oracles(seed, n, fs, origin):
+    rng = np.random.default_rng(seed)
+    beats = origin + np.cumsum(rng.uniform(0.3, 1.5, size=n))
+    values = rng.standard_normal(n)
+    t, resampled = resample_beats_to_uniform(beats, values, fs=fs)
+    ref_t, ref_resampled = oracles.resample_beats_to_uniform(beats, values, fs=fs)
+    assert _same_bits(t, ref_t)
+    assert _same_bits(resampled, ref_resampled)
+    assert _same_bits(detrend(resampled), oracles.detrend(resampled))
+    assert _same_bits(detrend(values), oracles.detrend(values))

@@ -5,6 +5,7 @@ import pytest
 
 from repro.dsp.filters import apply_fir, bandpass_fir, detrend, difference, moving_average
 from repro.dsp.resample import resample_beats_to_uniform, resample_rr_to_uniform
+from repro.features.extractor import FeatureExtractor
 
 
 class TestMovingAverage:
@@ -115,3 +116,35 @@ class TestResampling:
         t, rr = resample_rr_to_uniform(beats, fs=4.0)
         assert rr.min() >= 0.8 - 1e-9
         assert rr.max() <= 0.9 + 1e-9
+
+
+class TestNonFiniteBeatTimes:
+    """Non-finite beat times are a ``ValueError``, never an overflow or a pass."""
+
+    @staticmethod
+    def _beats(n=12):
+        return np.cumsum(np.full(n, 0.8))
+
+    @pytest.mark.parametrize("where", [0, 5, -1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_raises_value_error(self, where, bad):
+        beats = self._beats()
+        beats[where] = bad
+        with pytest.raises(ValueError):
+            resample_beats_to_uniform(beats, np.zeros(beats.size))
+
+    def test_span_overflowing_to_inf_raises_value_error(self):
+        with pytest.raises(ValueError):
+            resample_beats_to_uniform(np.array([-1e308, 1e308]), np.zeros(2))
+
+    def test_infinite_beat_time_gives_an_unusable_window(self):
+        beats = self._beats(80)
+        rr = np.full(80, 0.8)
+        amplitudes = 1.0 + 0.1 * np.sin(beats)
+        extractor = FeatureExtractor()
+        assert extractor.extract_beats(beats, rr, amplitudes).shape == (53,)
+        beats[-1] = np.inf
+        with pytest.raises(ValueError):
+            extractor.extract_beats(beats, rr, amplitudes)
+        X, kept = extractor.extract_batch([(beats, rr, amplitudes)])
+        assert X.shape == (0, 53) and kept == []

@@ -34,10 +34,19 @@ the real experiment features:
   ``tests/oracles.py``).  Identical feature bits; µs/window and speedup of
   both are recorded.
 
+* **Training path** — on the labelled cohort ``tests/data/make_golden.py``
+  trains its model on: ``smo_solve`` (running I_up/I_low masks updated at
+  the two working-set entries, scalar side on Python floats) against the
+  mask-rebuilding loop oracle of ``tests/oracles.py``, in ms per solve; and
+  the cohort's training-window features with the multi-segment spectral plan
+  against the ``welch_psd`` + ``band_powers`` composition, in µs per window.
+  Identical α, bias and feature bits.
+
 ``BENCH_hotpath.json`` next to this file is the committed per-commit record.
-The kernel, detector and feature benches refuse to pass when the measured
-speedup falls more than 20% below the committed record, so a regression that
-erodes the fast path fails CI even while still above its absolute bar.
+The kernel, detector, feature and training benches refuse to pass when the
+measured speedup falls more than 20% below the committed record, so a
+regression that erodes the fast path fails CI even while still above its
+absolute bar.
 """
 
 import contextlib
@@ -52,15 +61,19 @@ import pytest
 
 from repro.dsp import peaks
 from repro.dsp.psd import band_powers, welch_psd
-from repro.features.extractor import FeatureExtractor
+from repro.features.extractor import FeatureExtractor, extract_cohort_features
 from repro.profile import _synth_beat_chunks
 from repro.quant import QuantizationConfig, QuantizedSVM
 from repro.serving import PendingWindow, classify_windows
+from repro.signals.dataset import CohortParams, generate_cohort
 from repro.signals.ecg_model import ECGWaveformParams, synthesize_ecg
 from repro.signals.respiration import generate_respiration
 from repro.signals.rr_model import RRModelParams, generate_rr_series
 from repro.signals.windows import StreamingWindower, WindowingParams
-from repro.svm.model import train_svm
+from repro.svm.kernels import PolynomialKernel
+from repro.svm.model import class_weighted_penalties, train_svm
+from repro.svm.scaling import make_scaler
+from repro.svm.smo import smo_solve
 from tests import oracles
 from tests.oracles import FullBufferDetector, scan_and_refine
 
@@ -89,6 +102,12 @@ FEATURES_PATIENTS = 2
 FEATURES_DURATION_S = 900.0
 FEATURES_WINDOW_S = 60.0
 FEATURES_STEP_S = 15.0
+
+#: Training workload: the labelled cohort of ``tests/data/make_golden.py``
+#: (180 s training windows, whose EDR and tachogram hold 4 Welch segments).
+TRAIN_COHORT = CohortParams(
+    n_patients=3, n_sessions=6, session_duration_s=1500.0, total_seizures=8, seed=7
+)
 
 #: Committed per-commit speedup record (see module docstring).
 HOTPATH_RECORD = Path(__file__).with_name("BENCH_hotpath.json")
@@ -493,3 +512,90 @@ def test_bench_hotpath_features(benchmark):
             "committed record (%.2fx); update benchmarks/BENCH_hotpath.json "
             "only with a justified trade-off" % (speedup, record["speedup"])
         )
+
+
+def _composed_training_features(cohort):
+    """The cohort's features with both ``welch_band_powers`` bindings on the
+    composition the multi-segment plan replaced."""
+    with contextlib.ExitStack() as stack:
+        for target, kernel in _REPLACED_KERNELS[:2]:
+            stack.enter_context(mock.patch(target, kernel))
+        return extract_cohort_features(cohort)
+
+
+def _training_problem(features):
+    """The Gram matrix, labels and penalties ``train_svm`` hands the solver."""
+    X = make_scaler("standard").fit(features.X).transform(features.X)
+    y = features.y.astype(float)
+    return PolynomialKernel(degree=2)(X, X), y, class_weighted_penalties(y, 1.0, balanced=True)
+
+
+def _measure_train(cohort, pairs=7):
+    features = extract_cohort_features(cohort)
+    gram, y, params = _training_problem(features)
+    _composed_training_features(cohort)
+    oracles.smo_solve(gram, y, params)
+    smo_solve(gram, y, params)
+    gc.collect()
+    gc.disable()
+    try:
+        smo = interleaved_ratio(
+            timed(lambda: oracles.smo_solve(gram, y, params)),
+            timed(lambda: smo_solve(gram, y, params)),
+            pairs,
+        )
+        extract = interleaved_ratio(
+            timed(lambda: _composed_training_features(cohort)),
+            timed(lambda: extract_cohort_features(cohort)),
+            pairs,
+        )
+    finally:
+        gc.enable()
+    return features, smo, extract
+
+
+def test_bench_hotpath_train(benchmark):
+    cohort = generate_cohort(TRAIN_COHORT)
+    features, smo, extract = run_once(benchmark, _measure_train, cohort)
+    smo_speedup, t_oracle_smo, t_smo, oracle_result, result = smo
+    features_speedup, t_oracle_features, t_features, oracle_features, fast_features = extract
+
+    n = features.X.shape[0]
+    print()
+    print(
+        "training problem          : %d windows x %d features, %d SMO iterations"
+        % (n, features.X.shape[1], result.n_iterations)
+    )
+    print("mask-rebuilding SMO       : %8.1f ms/solve" % (t_oracle_smo * 1e3))
+    print("incremental-mask SMO      : %8.1f ms/solve  (%.2fx)" % (t_smo * 1e3, smo_speedup))
+    print("composed Welch features   : %8.0f us/window" % (t_oracle_features / n * 1e6))
+    print(
+        "multi-segment plan        : %8.0f us/window  (%.2fx)"
+        % (t_features / n * 1e6, features_speedup)
+    )
+    benchmark.extra_info["windows"] = n
+    benchmark.extra_info["smo_iterations"] = result.n_iterations
+    benchmark.extra_info["oracle_ms_per_solve"] = t_oracle_smo * 1e3
+    benchmark.extra_info["ms_per_solve"] = t_smo * 1e3
+    benchmark.extra_info["smo_speedup"] = smo_speedup
+    benchmark.extra_info["oracle_us_per_window"] = t_oracle_features / n * 1e6
+    benchmark.extra_info["us_per_window"] = t_features / n * 1e6
+    benchmark.extra_info["features_speedup"] = features_speedup
+
+    # The same solution and the same feature bits.
+    assert result.alpha.tobytes() == oracle_result.alpha.tobytes()
+    assert result.bias == oracle_result.bias
+    assert result.n_iterations == oracle_result.n_iterations
+    assert fast_features.X.tobytes() == oracle_features.X.tobytes()
+    assert fast_features.X.tobytes() == features.X.tobytes()
+
+    # Regression gate against the committed record.
+    if HOTPATH_RECORD.exists():
+        record = json.loads(HOTPATH_RECORD.read_text())["train"]
+        for name, speedup in (("smo", smo_speedup), ("features", features_speedup)):
+            floor = RECORD_SLACK * record[name + "_speedup"]
+            assert speedup >= floor, (
+                "training %s speedup %.2fx regressed more than 20%% below the "
+                "committed record (%.2fx); update benchmarks/BENCH_hotpath.json "
+                "only with a justified trade-off" % (name, speedup, record[name + "_speedup"])
+            )

@@ -21,15 +21,17 @@ The implementation is hot-path tuned without changing a single output bit
   the same ``np.add.reduce`` order the trapezoid rule uses, and bands of
   fewer than 8 panels are summed together as the zero-padded rows of one
   matrix.
-* :func:`welch_band_powers` fuses the two for a signal that holds one Welch
-  segment (every analysis window of the monitor).  Everything that depends
-  only on ``(segment length, fs, band edges)`` — the Hann window, the
-  ``fs·Σw²`` normaliser, the one-sided doubling as a vector of ones and twos,
-  the trapezoid widths and each band's gather row or slice bounds — is
-  built once into a memoised spectral plan, so a window pays only for the
-  FFT and the handful of ufuncs that touch its data, issued in the same
-  order as ``band_powers(*welch_psd(...))``.  A signal long enough for
-  several segments takes that composition itself.
+* :func:`welch_band_powers` fuses the two.  Everything that depends only on
+  ``(segment length, fs, band edges)`` — the Hann window, the ``fs·Σw²``
+  normaliser, the one-sided doubling as a vector of ones and twos, the
+  trapezoid widths and each band's gather row or slice bounds — is built
+  once into a memoised spectral plan, so a signal pays only for the FFT and
+  the handful of ufuncs that touch its data, issued in the same order as
+  ``band_powers(*welch_psd(...))``.  The plan covers one-segment signals
+  (every analysis window of the monitor) and multi-segment ones (the 180 s
+  training windows): their segments are gathered through a memoised
+  row-index matrix and their periodograms accumulated row by row, in
+  segment order, exactly as :func:`welch_psd` does.
 """
 
 from __future__ import annotations
@@ -226,8 +228,8 @@ def _integrate(padded: np.ndarray, layout: _BandLayout) -> np.ndarray:
 
 
 class _SpectralPlan(NamedTuple):
-    """Everything a one-segment Welch → band-power pass needs that depends
-    only on ``(segment length, fs, band edges)``."""
+    """Everything a Welch → band-power pass needs that depends only on
+    ``(segment length, fs, band edges)``."""
 
     window: np.ndarray
     #: ``fs * sum(window**2)``, the periodogram normaliser.
@@ -243,6 +245,8 @@ class _SpectralPlan(NamedTuple):
 
 #: Memoised spectral plans: (segment length, fs, edge bytes) -> plan.
 _PLAN_CACHE: Dict[Tuple[int, float, bytes], _SpectralPlan] = {}
+#: Memoised segment gathers: (signal length, segment length) -> row indices.
+_ROWS_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
 
 
 def _spectral_plan(segment_length: int, fs: float, edges: np.ndarray) -> _SpectralPlan:
@@ -267,29 +271,56 @@ def _spectral_plan(segment_length: int, fs: float, edges: np.ndarray) -> _Spectr
     return plan
 
 
+def _segment_rows(size: int, segment_length: int) -> np.ndarray:
+    """Row-index matrix gathering every Welch segment of a ``size``-sample
+    signal at 50% overlap: the starts of :func:`welch_psd`'s segments."""
+    key = (size, segment_length)
+    rows = _ROWS_CACHE.get(key)
+    if rows is None:
+        if len(_ROWS_CACHE) >= _CACHE_LIMIT:
+            _ROWS_CACHE.clear()
+        starts = np.arange(0, size - segment_length + 1, max(1, segment_length // 2))
+        rows = starts[:, None] + np.arange(segment_length)
+        rows.setflags(write=False)
+        _ROWS_CACHE[key] = rows
+    return rows
+
+
 def welch_band_powers(x: np.ndarray, fs: float, edges: Sequence[Tuple[float, float]]) -> np.ndarray:
     """Band powers of the Welch PSD of ``x``, with the feature chain's defaults.
 
     Returns exactly the bits of
-    ``band_powers(*welch_psd(x, fs, min(256, x.size)), edges)``.  A signal
-    that holds a single Welch segment (every analysis window of the monitor)
-    runs on a memoised :class:`_SpectralPlan`: the same ufuncs on its data, in
-    the same order, with every data-independent step done once per
-    ``(segment length, fs, edges)``.  Longer signals take the composition.
-    Raises ``ValueError`` for a signal too short for PSD estimation.
+    ``band_powers(*welch_psd(x, fs, min(256, x.size)), edges)``, running on a
+    memoised :class:`_SpectralPlan`: the same ufuncs on the data, in the same
+    order, with every data-independent step done once per
+    ``(segment length, fs, edges)``.  A signal of several segments (a
+    training window) gathers them through a memoised row-index matrix and
+    accumulates their periodograms row by row, in segment order.  Raises
+    ``ValueError`` for a signal too short for PSD estimation.
     """
     x = np.asarray(x, dtype=float)
     n = min(256, x.size)
-    if x.size < 8 or x.size - n >= max(1, n // 2):
+    if x.size < 8:
         return band_powers(*welch_psd(x, fs, n), edges)
     window, fs_power, doubling, widths, layout = _spectral_plan(
         n, fs, np.asarray(edges, dtype=float)
     )
-    segment = x[:n]
-    data = segment - np.add.reduce(segment) / n
+    if x.size - n < max(1, n // 2):
+        segment = x[:n]
+        data = segment - np.add.reduce(segment) / n
+    else:
+        data = x[_segment_rows(x.size, n)]
+        np.subtract(data, np.add.reduce(data, axis=1, keepdims=True) / n, out=data)
     np.multiply(data, window, out=data)
     power = np.abs(np.fft.rfft(data))
     np.multiply(power, power, out=power)
     np.divide(power, fs_power, out=power)
     np.multiply(power, doubling, out=power)
+    if power.ndim == 2:
+        # Row by row in segment order, as welch_psd: a pairwise reduction
+        # over the segments would round differently.
+        psd = power[0]
+        for row in power[1:]:
+            np.add(psd, row, out=psd)
+        power = np.divide(psd, power.shape[0], out=psd)
     return _integrate(_panels(widths, power), layout)

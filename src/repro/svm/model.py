@@ -178,7 +178,7 @@ def train_svm(
 
     Returns
     -------
-    :class:`SVMModel`
+    :class:`SVMModel`.  Raises ``ValueError`` for a non-finite ``X``.
     """
     if kernel is None:
         kernel = PolynomialKernel(degree=2)
@@ -190,6 +190,8 @@ def train_svm(
         raise ValueError("X must be 2-D")
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y must have the same number of rows")
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
 
     scaler = make_scaler(params.scaling)
     X_train = X

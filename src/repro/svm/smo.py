@@ -15,12 +15,25 @@ The solver follows the structure of LIBSVM's working-set-selection algorithm
 The full kernel matrix is precomputed and cached: the reproduction's training
 sets contain at most a few thousand windows, for which an ``n × n`` float64
 Gram matrix is far cheaper than recomputing kernel rows.
+
+The loop is tuned without changing a single output bit (pinned against the
+mask-rebuilding loop it replaced, kept in ``tests/oracles.py``):
+
+* the I_up / I_low masks are boolean arrays with running counts; a step moves
+  only α_i and α_j, so only entries i and j are re-evaluated, with the same
+  predicates on Python floats;
+* ``-y·grad`` is written into preallocated buffers whose off-set entries hold
+  ∓inf, and ``argmax`` / ``argmin`` still pick the first index on ties;
+* the two-variable step runs on Python-float mirrors of y, C, diag(Q) and α,
+  the same IEEE binary64 operations in the same order;
+* ``Q`` is built transposed, so the gradient update reads two contiguous rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -64,36 +77,6 @@ def _per_sample_c(y: np.ndarray, params: SMOParams) -> np.ndarray:
     return c.astype(float)
 
 
-def _select_working_pair(
-    grad: np.ndarray,
-    alpha: np.ndarray,
-    y: np.ndarray,
-    c: np.ndarray,
-    tol: float,
-) -> Tuple[int, int, float]:
-    """Maximal-violating-pair selection (LIBSVM WSS1).
-
-    Returns ``(i, j, violation)``; ``i`` or ``j`` is ``-1`` when the problem is
-    already optimal within ``tol``.
-    """
-    # I_up: y=+1 & alpha<C  or  y=-1 & alpha>0
-    up_mask = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
-    # I_low: y=+1 & alpha>0  or  y=-1 & alpha<C
-    low_mask = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < c))
-    if not np.any(up_mask) or not np.any(low_mask):
-        return -1, -1, 0.0
-
-    score = -y * grad
-    up_scores = np.where(up_mask, score, -np.inf)
-    low_scores = np.where(low_mask, score, np.inf)
-    i = int(np.argmax(up_scores))
-    j = int(np.argmin(low_scores))
-    violation = float(up_scores[i] - low_scores[j])
-    if violation <= tol:
-        return -1, -1, violation
-    return i, j, violation
-
-
 def _compute_bias(grad: np.ndarray, alpha: np.ndarray, y: np.ndarray, c: np.ndarray) -> float:
     """Bias from the KKT conditions of the final iterate.
 
@@ -130,7 +113,9 @@ def smo_solve(
     Returns
     -------
     :class:`SMOResult` with the dual variables and the bias term of
-    Equation 1 of the paper.
+    Equation 1 of the paper.  Raises ``ValueError`` for a non-square or
+    non-finite kernel matrix, for labels outside ``{-1, +1}`` and for a
+    training set with one class only.
     """
     if params is None:
         params = SMOParams()
@@ -143,31 +128,74 @@ def smo_solve(
         raise ValueError("labels must be -1 or +1")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("both classes must be present in the training set")
+    if not np.isfinite(K).all():
+        raise ValueError("kernel_matrix must be finite")
 
     c = _per_sample_c(y, params)
-    Q = (y[:, None] * y[None, :]) * K
+    # Row k of ``Qt`` is column k of ``Q = (y yᵀ) ∘ K``: ``(y_k y_m) K_mk``
+    # equals ``Q_mk`` bit for bit because ``y_k y_m = y_m y_k``.  The
+    # gradient update then reads two contiguous rows.
+    Qt = np.multiply(y[:, None], y[None, :])
+    np.multiply(Qt, K.T, out=Qt)
 
-    alpha = np.zeros(n)
+    # Python-float mirrors of everything the two-variable step reads.
+    y_l = y.tolist()
+    c_l = c.tolist()
+    q_diag = Qt.diagonal().tolist()
+    alpha_l = [0.0] * n
     grad = -np.ones(n)  # gradient of ½αᵀQα − eᵀα at α = 0
 
+    # I_up: y=+1 & alpha<C  or  y=-1 & alpha>0
+    # I_low: y=+1 & alpha>0  or  y=-1 & alpha<C
+    # At α = 0 that is the positive (negative) class wherever 0 < C.
+    up = (y > 0) & (c > 0)
+    low = (y < 0) & (c > 0)
+    up_l = up.tolist()
+    low_l = low.tolist()
+    n_up = up_l.count(True)
+    n_low = low_l.count(True)
+
+    neg_y = -y
+    score = np.empty(n)
+    # ``score`` on the set, -inf (+inf) off it: the arrays ``argmax``
+    # (``argmin``) selects the maximal violating pair from, first index on ties.
+    up_score = np.full(n, -np.inf)
+    low_score = np.full(n, np.inf)
+    step_i = np.empty(n)
+    step_j = np.empty(n)
+
+    tol = params.tol
     n_iter = 0
     converged = False
-    violation = np.inf
+    violation = math.inf
     while n_iter < params.max_iter:
-        i, j, violation = _select_working_pair(grad, alpha, y, c, params.tol)
-        if i < 0:
+        # Maximal-violating-pair selection (LIBSVM WSS1).
+        if not n_up or not n_low:
+            violation = 0.0
+            converged = True
+            break
+        np.multiply(neg_y, grad, out=score)
+        np.copyto(up_score, score, where=up)
+        np.copyto(low_score, score, where=low)
+        i = int(up_score.argmax())
+        j = int(low_score.argmin())
+        violation = up_score.item(i) - low_score.item(j)
+        if violation <= tol:
             converged = True
             break
 
         # Analytic solution of the two-variable sub-problem (see Fan, Chen,
         # Lin, "Working set selection using second order information").
-        quad = Q[i, i] + Q[j, j] - 2.0 * y[i] * y[j] * Q[i, j]
+        y_i, y_j = y_l[i], y_l[j]
+        c_i, c_j = c_l[i], c_l[j]
+        a_i, a_j = alpha_l[i], alpha_l[j]
+        quad = q_diag[i] + q_diag[j] - 2.0 * y_i * y_j * Qt.item(j, i)
         quad = max(quad, 1e-12)
-        if y[i] != y[j]:
-            delta = (-grad[i] - grad[j]) / quad
-            diff = alpha[i] - alpha[j]
-            alpha_i_new = alpha[i] + delta
-            alpha_j_new = alpha[j] + delta
+        if y_i != y_j:
+            delta = (-grad.item(i) - grad.item(j)) / quad
+            diff = a_i - a_j
+            alpha_i_new = a_i + delta
+            alpha_j_new = a_j + delta
             if diff > 0:
                 if alpha_j_new < 0:
                     alpha_j_new = 0.0
@@ -176,48 +204,70 @@ def smo_solve(
                 if alpha_i_new < 0:
                     alpha_i_new = 0.0
                     alpha_j_new = -diff
-            if diff > c[i] - c[j]:
-                if alpha_i_new > c[i]:
-                    alpha_i_new = c[i]
-                    alpha_j_new = c[i] - diff
+            if diff > c_i - c_j:
+                if alpha_i_new > c_i:
+                    alpha_i_new = c_i
+                    alpha_j_new = c_i - diff
             else:
-                if alpha_j_new > c[j]:
-                    alpha_j_new = c[j]
-                    alpha_i_new = c[j] + diff
+                if alpha_j_new > c_j:
+                    alpha_j_new = c_j
+                    alpha_i_new = c_j + diff
         else:
-            delta = (grad[i] - grad[j]) / quad
-            summ = alpha[i] + alpha[j]
-            alpha_i_new = alpha[i] - delta
-            alpha_j_new = alpha[j] + delta
-            if summ > c[i]:
-                if alpha_i_new > c[i]:
-                    alpha_i_new = c[i]
-                    alpha_j_new = summ - c[i]
+            delta = (grad.item(i) - grad.item(j)) / quad
+            summ = a_i + a_j
+            alpha_i_new = a_i - delta
+            alpha_j_new = a_j + delta
+            if summ > c_i:
+                if alpha_i_new > c_i:
+                    alpha_i_new = c_i
+                    alpha_j_new = summ - c_i
             else:
                 if alpha_j_new < 0:
                     alpha_j_new = 0.0
                     alpha_i_new = summ
-            if summ > c[j]:
-                if alpha_j_new > c[j]:
-                    alpha_j_new = c[j]
-                    alpha_i_new = summ - c[j]
+            if summ > c_j:
+                if alpha_j_new > c_j:
+                    alpha_j_new = c_j
+                    alpha_i_new = summ - c_j
             else:
                 if alpha_i_new < 0:
                     alpha_i_new = 0.0
                     alpha_j_new = summ
 
-        delta_i = alpha_i_new - alpha[i]
-        delta_j = alpha_j_new - alpha[j]
+        delta_i = alpha_i_new - a_i
+        delta_j = alpha_j_new - a_j
         if abs(delta_i) < 1e-14 and abs(delta_j) < 1e-14:
             # Numerically stuck on this pair: declare convergence at the
             # current violation level rather than spinning.
-            converged = violation <= max(params.tol * 10.0, 1e-2)
+            converged = violation <= max(tol * 10.0, 1e-2)
             break
-        alpha[i] = alpha_i_new
-        alpha[j] = alpha_j_new
-        grad += Q[:, i] * delta_i + Q[:, j] * delta_j
+        alpha_l[i] = alpha_i_new
+        alpha_l[j] = alpha_j_new
+        # grad += Q[:, i] * delta_i + Q[:, j] * delta_j, in that order.
+        np.multiply(Qt[i], delta_i, out=step_i)
+        np.multiply(Qt[j], delta_j, out=step_j)
+        np.add(step_i, step_j, out=step_i)
+        np.add(grad, step_i, out=grad)
         n_iter += 1
 
+        # Only α_i and α_j moved, so only their set memberships can change
+        # (for i == j the second pass finds nothing left to flip).
+        for k in (i, j):
+            a_k = alpha_l[k]
+            below, above = a_k < c_l[k], a_k > 0
+            in_up, in_low = (below, above) if y_l[k] > 0 else (above, below)
+            if in_up != up_l[k]:
+                up_l[k] = up[k] = in_up
+                n_up += 1 if in_up else -1
+                if not in_up:
+                    up_score[k] = -np.inf
+            if in_low != low_l[k]:
+                low_l[k] = low[k] = in_low
+                n_low += 1 if in_low else -1
+                if not in_low:
+                    low_score[k] = np.inf
+
+    alpha = np.array(alpha_l)
     alpha[alpha < params.alpha_floor] = 0.0
     bias = _compute_bias(grad, alpha, y, c)
     return SMOResult(
@@ -225,5 +275,5 @@ def smo_solve(
         bias=bias,
         n_iterations=n_iter,
         converged=converged,
-        final_violation=float(violation if np.isfinite(violation) else 0.0),
+        final_violation=float(violation if math.isfinite(violation) else 0.0),
     )

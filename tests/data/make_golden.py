@@ -19,6 +19,13 @@ feature extraction or serving layers fails loudly.  Regenerate (and review
 the diff like code!) only when an intentional numerical change lands:
 
     PYTHONPATH=src python tests/data/make_golden.py
+
+Re-running this script today does not reproduce the committed
+``golden_model.npz``: the support vectors, their labels and the scaler
+moments match, but α differs by up to 2.4% relative and the bias reads
+0.15930 against the committed 0.15910.  The replay checks the committed
+arrays, so regenerating any file here is itself a reviewed numeric change,
+never a refresh.
 """
 
 import json

@@ -21,18 +21,23 @@ Each function here is the straightforward loop the optimised code in
 * :func:`resample_beats_to_uniform` — the ``np.diff``-checked resample
   (which lets NaN beat times through and overflows on infinite ones);
 * :func:`detrend` — ``x.mean()`` and ``np.dot``, the wrappers behind
-  ``repro.dsp.filters.detrend``.
+  ``repro.dsp.filters.detrend``;
+* :func:`smo_solve` — the SMO loop that rebuilds the I_up/I_low masks from
+  all of α at every iteration (:func:`_select_working_pair`) and takes the
+  two-variable step on NumPy scalars, the loop behind
+  ``repro.svm.smo.smo_solve``.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dsp.peaks import PanTompkinsParams, StreamingPeakDetector
 from repro.dsp.psd import _hann, _rfftfreq, band_power
+from repro.svm.smo import SMOParams, SMOResult, _compute_bias, _per_sample_c
 
 
 def scan_and_refine(
@@ -206,3 +211,137 @@ def detrend(x: np.ndarray) -> np.ndarray:
     centred = x - x.mean()
     slope = np.dot(t, centred) / float(np.dot(t, t))
     return centred - slope * t
+
+
+def _select_working_pair(
+    grad: np.ndarray,
+    alpha: np.ndarray,
+    y: np.ndarray,
+    c: np.ndarray,
+    tol: float,
+) -> Tuple[int, int, float]:
+    """Maximal-violating-pair selection (LIBSVM WSS1).
+
+    Returns ``(i, j, violation)``; ``i`` or ``j`` is ``-1`` when the problem is
+    already optimal within ``tol``.
+    """
+    # I_up: y=+1 & alpha<C  or  y=-1 & alpha>0
+    up_mask = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
+    # I_low: y=+1 & alpha>0  or  y=-1 & alpha<C
+    low_mask = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < c))
+    if not np.any(up_mask) or not np.any(low_mask):
+        return -1, -1, 0.0
+
+    score = -y * grad
+    up_scores = np.where(up_mask, score, -np.inf)
+    low_scores = np.where(low_mask, score, np.inf)
+    i = int(np.argmax(up_scores))
+    j = int(np.argmin(low_scores))
+    violation = float(up_scores[i] - low_scores[j])
+    if violation <= tol:
+        return -1, -1, violation
+    return i, j, violation
+
+
+def smo_solve(
+    kernel_matrix: np.ndarray,
+    y: np.ndarray,
+    params: Optional[SMOParams] = None,
+) -> SMOResult:
+    """SMO that rebuilds both working-set masks from the whole α vector at
+    every iteration and runs the two-variable step on NumPy scalars."""
+    if params is None:
+        params = SMOParams()
+    K = np.asarray(kernel_matrix, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = y.shape[0]
+    if K.shape != (n, n):
+        raise ValueError("kernel_matrix must be square and match len(y)")
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise ValueError("labels must be -1 or +1")
+    if not (np.any(y > 0) and np.any(y < 0)):
+        raise ValueError("both classes must be present in the training set")
+
+    c = _per_sample_c(y, params)
+    Q = (y[:, None] * y[None, :]) * K
+
+    alpha = np.zeros(n)
+    grad = -np.ones(n)  # gradient of ½αᵀQα − eᵀα at α = 0
+
+    n_iter = 0
+    converged = False
+    violation = np.inf
+    while n_iter < params.max_iter:
+        i, j, violation = _select_working_pair(grad, alpha, y, c, params.tol)
+        if i < 0:
+            converged = True
+            break
+
+        # Analytic solution of the two-variable sub-problem (see Fan, Chen,
+        # Lin, "Working set selection using second order information").
+        quad = Q[i, i] + Q[j, j] - 2.0 * y[i] * y[j] * Q[i, j]
+        quad = max(quad, 1e-12)
+        if y[i] != y[j]:
+            delta = (-grad[i] - grad[j]) / quad
+            diff = alpha[i] - alpha[j]
+            alpha_i_new = alpha[i] + delta
+            alpha_j_new = alpha[j] + delta
+            if diff > 0:
+                if alpha_j_new < 0:
+                    alpha_j_new = 0.0
+                    alpha_i_new = diff
+            else:
+                if alpha_i_new < 0:
+                    alpha_i_new = 0.0
+                    alpha_j_new = -diff
+            if diff > c[i] - c[j]:
+                if alpha_i_new > c[i]:
+                    alpha_i_new = c[i]
+                    alpha_j_new = c[i] - diff
+            else:
+                if alpha_j_new > c[j]:
+                    alpha_j_new = c[j]
+                    alpha_i_new = c[j] + diff
+        else:
+            delta = (grad[i] - grad[j]) / quad
+            summ = alpha[i] + alpha[j]
+            alpha_i_new = alpha[i] - delta
+            alpha_j_new = alpha[j] + delta
+            if summ > c[i]:
+                if alpha_i_new > c[i]:
+                    alpha_i_new = c[i]
+                    alpha_j_new = summ - c[i]
+            else:
+                if alpha_j_new < 0:
+                    alpha_j_new = 0.0
+                    alpha_i_new = summ
+            if summ > c[j]:
+                if alpha_j_new > c[j]:
+                    alpha_j_new = c[j]
+                    alpha_i_new = summ - c[j]
+            else:
+                if alpha_i_new < 0:
+                    alpha_i_new = 0.0
+                    alpha_j_new = summ
+
+        delta_i = alpha_i_new - alpha[i]
+        delta_j = alpha_j_new - alpha[j]
+        if abs(delta_i) < 1e-14 and abs(delta_j) < 1e-14:
+            # Numerically stuck on this pair: declare convergence at the
+            # current violation level rather than spinning.
+            converged = violation <= max(params.tol * 10.0, 1e-2)
+            break
+        alpha[i] = alpha_i_new
+        alpha[j] = alpha_j_new
+        grad += Q[:, i] * delta_i + Q[:, j] * delta_j
+        n_iter += 1
+
+    alpha[alpha < params.alpha_floor] = 0.0
+    bias = _compute_bias(grad, alpha, y, c)
+    return SMOResult(
+        alpha=alpha,
+        bias=bias,
+        n_iterations=n_iter,
+        converged=converged,
+        final_violation=float(violation if np.isfinite(violation) else 0.0),
+    )

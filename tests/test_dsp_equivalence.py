@@ -425,3 +425,24 @@ def test_resample_and_detrend_match_their_oracles(seed, n, fs, origin):
     assert _same_bits(resampled, ref_resampled)
     assert _same_bits(detrend(resampled), oracles.detrend(resampled))
     assert _same_bits(detrend(values), oracles.detrend(values))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.just(720), st.integers(384, 2000)),
+    fs=st.sampled_from([4.0, 1.0, 7.3]),
+    edges=band_edges(),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    spikes=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2),
+)
+@settings(max_examples=200, deadline=None)
+def test_multi_segment_welch_band_powers_match_the_oracle(seed, n, fs, edges, scale, spikes):
+    """Signals of 2+ Welch segments (a 180 s training window at 4 Hz is 720
+    samples, 4 segments) run on the plan with gathered segment rows."""
+    rng = np.random.default_rng(seed)
+    x = scale * (rng.standard_normal(n) + np.sin(2 * np.pi * 0.3 * np.arange(n) / fs)) + 2.0
+    x[rng.integers(0, n, size=len(spikes))] = spikes
+    expected = oracles.welch_band_powers(x, fs, edges)
+    assert _same_bits(welch_band_powers(x, fs, edges), expected)
+    # A second call runs on the memoised plan and segment rows.
+    assert _same_bits(welch_band_powers(x, fs, edges), expected)

@@ -142,3 +142,55 @@ class TestTrainSVM:
         predictions = quadratic_model.predict(feature_matrix.X)
         accuracy = np.mean(predictions == feature_matrix.y)
         assert accuracy > 0.8
+
+
+class TestNonFiniteTrainingData:
+    """Non-finite data is refused, never trained into a "converged" NaN model."""
+
+    @staticmethod
+    def _problem():
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(60, 5))
+        y = np.where(X[:, 0] + 0.5 * rng.normal(size=60) > 0, 1, -1)
+        return X, y
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_train_svm_rejects_a_non_finite_feature(self, bad):
+        X, y = self._problem()
+        X[17, 3] = bad
+        with pytest.raises(ValueError, match="X must be finite"):
+            train_svm(X, y)
+
+    @pytest.mark.parametrize("scaling", ["standard", "none"])
+    def test_train_svm_rejects_nan_before_scaling(self, scaling):
+        X, y = self._problem()
+        X[0, 0] = np.nan
+        with pytest.raises(ValueError, match="X must be finite"):
+            train_svm(X, y, params=SVMTrainParams(scaling=scaling))
+
+    def test_smo_rejects_an_overflowing_cubic_kernel(self):
+        X, y = self._problem()
+        gram = PolynomialKernel(degree=3)(X * 1e110, X * 1e110)
+        assert not np.isfinite(gram).all()
+        with pytest.raises(ValueError, match="kernel_matrix must be finite"):
+            smo_solve(gram, y, SMOParams())
+        with pytest.raises(ValueError, match="kernel_matrix must be finite"):
+            train_svm(
+                X * 1e110, y, kernel=PolynomialKernel(degree=3),
+                params=SVMTrainParams(scaling="none"),
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_smo_rejects_one_non_finite_kernel_entry(self, bad):
+        X, y = self._problem()
+        gram = X @ X.T
+        gram[5, 40] = bad
+        with pytest.raises(ValueError, match="finite"):
+            smo_solve(gram, y, SMOParams())
+
+    def test_finite_training_still_converges(self):
+        X, y = self._problem()
+        model = train_svm(X, y)
+        assert model.converged
+        assert np.isfinite(model.bias)
+        assert np.isfinite(model.dual_coef).all()

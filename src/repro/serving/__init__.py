@@ -108,7 +108,7 @@ from repro.serving.registry import (
     backend_label,
     classify_grouped,
 )
-from repro.serving.sharding import HashRing, ShardDrainError, ShardedFleet, TopologyPlan
+from repro.serving.sharding import HashRing, ShardDrainError, ShardedFleet
 from repro.serving.wire import (
     ACK_IMPORT_FAILED,
     ACK_OK,
@@ -147,7 +147,6 @@ __all__ = [
     "ShardedFleet",
     "ShardDrainError",
     "HashRing",
-    "TopologyPlan",
     "GatewayCluster",
     "ClusterStats",
     "HandoffError",

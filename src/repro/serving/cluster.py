@@ -16,6 +16,8 @@ cluster-level :class:`~repro.serving.sharding.HashRing`, and moves patients
   forget the patient — the **ACK-before-forget rule**: a crash anywhere in
   the exchange leaves exactly one owner (the source rolls back un-ACKed
   exports; a destination that dies before ACKing discards its half-import).
+  (Exception: a live destination importing *after* the source's ACK
+  timeout keeps its copy while the source rolls back, so both own it.)
 * **Backlog forwarding** — after the ACK the source's queued, undelivered
   frames follow the state to the destination
   (:meth:`IngestGateway.take_queued
@@ -57,6 +59,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.serving import migration
 from repro.serving.fleet import MonitorFleet, decision_sort_key
 from repro.serving.ingest import BackpressureError, GatewayStats, IngestGateway
 from repro.serving.sharding import HashRing
@@ -123,42 +126,38 @@ class ClusterStats:
     #: Frozen final ledgers of crash-stopped gateways, by node name.
     retired: Mapping[str, GatewayStats] = field(default_factory=dict)
 
+    def _total(self, counter: str) -> int:
+        """``counter`` summed over every gateway that ever lived."""
+        members = [*self.gateways.values(), *self.retired.values()]
+        return sum(getattr(g, counter) for g in members)
+
     @property
     def frames_received(self) -> int:
         """Frames received across every gateway that ever lived."""
-        return sum(g.frames_received for g in self.gateways.values()) + sum(
-            g.frames_received for g in self.retired.values()
-        )
+        return self._total("frames_received")
 
     @property
     def frames_forwarded(self) -> int:
         """Handoff-forwarded frames across every gateway that ever lived."""
-        return sum(g.frames_forwarded for g in self.gateways.values()) + sum(
-            g.frames_forwarded for g in self.retired.values()
-        )
+        return self._total("frames_forwarded")
 
     @property
     def frames_gap_dropped(self) -> int:
         """Stale datagrams dropped behind gaps, across every gateway that
         ever lived (always 0 on a strict-transport cluster)."""
-        return sum(g.frames_gap_dropped for g in self.gateways.values()) + sum(
-            g.frames_gap_dropped for g in self.retired.values()
-        )
+        return self._total("frames_gap_dropped")
 
     @property
     def gaps_detected(self) -> int:
-        """Sequence gaps absorbed by monitors across the live nodes."""
-        return sum(g.gaps_detected for g in self.gateways.values()) + sum(
-            g.gaps_detected for g in self.retired.values()
-        )
+        """Sequence gaps absorbed by monitors across every gateway that ever lived."""
+        return self._total("gaps_detected")
 
     @property
     def windows_reset_by_gap(self) -> int:
-        """Grid windows abandoned by gap resets across the live nodes — the
-        cluster-wide measured decision impact of frame loss."""
-        return sum(g.windows_reset_by_gap for g in self.gateways.values()) + sum(
-            g.windows_reset_by_gap for g in self.retired.values()
-        )
+        """Grid windows abandoned by gap resets across every gateway that
+        ever lived — the cluster-wide measured decision impact of frame
+        loss."""
+        return self._total("windows_reset_by_gap")
 
     @property
     def fully_accounted(self) -> bool:
@@ -583,13 +582,14 @@ class GatewayCluster:
         arriving and queue there), export the monitor state, ship it as
         ``HANDOFF`` + ``STATE`` over the destination's control socket, await
         the ``ACK``.  Anything but ``ACK_OK`` — refusal, timeout, a broken
-        connection — rolls the state back into the source fleet and raises
-        :class:`HandoffError`; the patient never stops being owned by
-        exactly one node.  On ``ACK_OK`` the source's queued backlog is
+        connection — rolls the state back into the source fleet, with its
+        pending-window age (:mod:`repro.serving.migration`), and raises
+        :class:`HandoffError`.  On ``ACK_OK`` the source's queued backlog is
         forwarded (``frames_forwarded`` → destination ``received``) and
         ownership flips only once the source queue is observed empty, with
         no suspension point between the check and the flip — per-patient
-        FIFO order survives the migration bit-exactly.
+        FIFO order survives the migration bit-exactly.  A slow destination
+        that imports after the ACK timeout is the one known double owner.
         """
         patient_id = int(patient_id)
         dest_slot = int(to_node)
@@ -606,49 +606,27 @@ class GatewayCluster:
             raise RuntimeError("cluster is not started (no control socket)")
         self._next_token = (self._next_token + 1) % (1 << 32)
         token = self._next_token
-        source.gateway.quiesce_patients([patient_id])
-        exported: Optional[MonitorState] = None
-        try:
-            # One loop pass: whatever delivery the pump is mid-way through
-            # completes before the monitor detaches.
-            await asyncio.sleep(0)
-            try:
-                exported = source.fleet.export_patient(patient_id)
-            except KeyError:
-                exported = None  # known only through queued frames: no state
-            payload = pickle.dumps(exported)
-            version = (
-                exported.version if exported is not None else MONITOR_STATE_VERSION
+        async with source.gateway.quiescing([patient_id]):
+            detached = migration.detach(
+                [(patient_id, src_slot, dest_slot)],
+                export=lambda _, pid: source.fleet.export_patient(pid),
+                age_of=lambda _: source.fleet.stats().oldest_pending_age_s,
+                import_=self._import_at,
             )
-            reader, writer = await asyncio.open_connection(*dest.control_addr)
+            # No state (known only through queued frames) ships as None.
+            payload = pickle.dumps(detached[0].state if detached else None)
             try:
-                writer.write(
-                    encode_handoff(patient_id, token, version, self.fs)
-                    + encode_state(patient_id, token, self.fs, payload)
-                )
-                await writer.drain()
-                ack = await asyncio.wait_for(
-                    self._read_ack(reader, token), self.handoff_timeout_s
-                )
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-            if ack.status != ACK_OK:
-                raise HandoffError(
-                    "node %s refused the state of patient %d (ack status %d)"
-                    % (dest.name, patient_id, ack.status)
-                )
+                await self._ship_state(dest, patient_id, token, payload)
+            except BaseException:
+                migration.restore(detached, self._import_at)
+                self._handoff_failures += 1
+                raise
             # ACK-before-forget satisfied: the destination owns the monitor
-            # state now, so from here on failures must not re-import it at
-            # the source.
-            exported = None
-            # Seed the crash-recovery record *before* the first forwarding
-            # await: the shipped state is the patient's checkpoint, and the
-            # source's still-queued frames are exactly their WAL (frames
-            # arriving during forwarding append through submit_chunk).
+            # state now.  Seed the crash-recovery record *before* the first
+            # forwarding await: the shipped state is the patient's
+            # checkpoint, and the source's still-queued frames are exactly
+            # their WAL (frames arriving during forwarding append through
+            # submit_chunk).
             self._checkpoint[patient_id] = payload
             self._wal[patient_id] = list(source.gateway.queued_frames_of(patient_id))
             while True:
@@ -661,29 +639,49 @@ class GatewayCluster:
             # frame can land between the check and the flip.
             self._home[patient_id] = dest_slot
             self._handoffs += 1
+
+    async def _ship_state(
+        self, dest: _ClusterNode, patient_id: int, token: int, payload: bytes
+    ) -> None:
+        """Send ``HANDOFF`` + ``STATE``; :class:`HandoffError` unless ``ACK_OK``."""
+        if dest.control_addr is None:
+            raise HandoffError("node %s stopped mid-handoff" % dest.name)
+        try:
+            reader, writer = await asyncio.open_connection(*dest.control_addr)
+            try:
+                writer.write(
+                    encode_handoff(patient_id, token, MONITOR_STATE_VERSION, self.fs)
+                    + encode_state(patient_id, token, self.fs, payload)
+                )
+                await writer.drain()
+                ack = await asyncio.wait_for(
+                    self._read_ack(reader, token), self.handoff_timeout_s
+                )
+            finally:
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except (ConnectionError, OSError):
+                    pass
         except asyncio.TimeoutError as exc:
-            self._rollback(source, exported)
             raise HandoffError(
                 "node %s did not ACK the handoff of patient %d within %gs"
                 % (dest.name, patient_id, self.handoff_timeout_s)
             ) from exc
-        except HandoffError:
-            self._rollback(source, exported)
-            raise
         except (ConnectionError, OSError) as exc:
-            self._rollback(source, exported)
             raise HandoffError(
                 "control connection to node %s failed mid-handoff of patient "
                 "%d: %s" % (dest.name, patient_id, exc)
             ) from exc
-        finally:
-            source.gateway.resume_patients([patient_id])
+        if ack.status != ACK_OK:
+            raise HandoffError(
+                "node %s refused the state of patient %d (ack status %d)"
+                % (dest.name, patient_id, ack.status)
+            )
 
-    def _rollback(self, source: _ClusterNode, exported: Optional[MonitorState]) -> None:
-        """Restore an un-ACKed export to its source fleet."""
-        if exported is not None:
-            source.fleet.import_patient(exported)
-        self._handoff_failures += 1
+    def _import_at(self, slot: int, state: MonitorState, pending_age_s: float) -> None:
+        """Attach a monitor state to the fleet of the live node at ``slot``."""
+        self._nodes[slot].fleet.import_patient(state, pending_age_s=pending_age_s)
 
     # -------------------------------------------------------------- node churn
     async def add_node(self, weight: float = 1.0) -> int:
@@ -695,25 +693,19 @@ class GatewayCluster:
         is re-homed through the real :meth:`handoff` protocol, one by one.
         """
         slot = self.ring.n_shards
-        grown = HashRing(
-            slot + 1,
-            replicas=self.ring.replicas,
-            weights=self.ring.weights + (float(weight),),
+        unpinned = sorted(
+            pid for pid, home in self._home.items() if home == self.ring.shard_of(pid)
         )
-        if self.ring.excluded:
-            grown, _ = grown.without_shards(self.ring.excluded)
-        movers = sorted(
-            pid
-            for pid, home in self._home.items()
-            if home == self.ring.shard_of(pid) and grown.shard_of(pid) != home
+        grown, moved = self.ring.with_n_shards(
+            slot + 1, unpinned, weights=self.ring.weights + (float(weight),)
         )
         node = self._make_node(slot)
         if self._started:
             await self._start_node(node)
         self._nodes[slot] = node
         self.ring = grown
-        for patient_id in movers:
-            await self.handoff(patient_id, self.ring.shard_of(patient_id))
+        for patient_id, (_, new_slot) in moved.items():
+            await self.handoff(patient_id, new_slot)
         return slot
 
     async def kill_node(self, slot: int) -> List[int]:
@@ -723,8 +715,8 @@ class GatewayCluster:
         and its final ledger is archived under :attr:`ClusterStats.retired`.
         Its ring slot is tombstoned (survivors keep their slices untouched),
         and each of its patients revives on their new ring owner: last
-        checkpointed :class:`~repro.serving.streaming.MonitorState` imported,
-        then their write-ahead frames replayed in arrival order
+        checkpointed :class:`~repro.serving.streaming.MonitorState` attached
+        (:mod:`repro.serving.migration`), then their write-ahead frames replayed in arrival order
         (``frames_replayed``).  Under the ``"block"`` policy the revived
         patient is bit-identical to one that never crashed, because
         checkpoints are taken at every drain — nothing since the checkpoint
@@ -741,16 +733,16 @@ class GatewayCluster:
         del self._nodes[slot]
         self.ring, _ = self.ring.without_shards([slot])
         self._node_deaths += 1
-        orphans = sorted(
-            pid for pid, home in self._home.items() if home == slot
-        )
+        orphans = sorted(pid for pid, home in self._home.items() if home == slot)
+        revived = []
+        for pid in orphans:
+            blob = self._checkpoint.get(pid)
+            state = pickle.loads(blob) if blob is not None else None
+            if state is not None:
+                revived.append(migration.Detached(pid, slot, self.ring.shard_of(pid), state, 0.0))
+        migration.attach(revived, self._import_at)
         for patient_id in orphans:
             dest = self._nodes[self.ring.shard_of(patient_id)]
-            blob = self._checkpoint.get(patient_id)
-            if blob is not None:
-                state = pickle.loads(blob)
-                if state is not None:
-                    dest.fleet.import_patient(state)
             self._home[patient_id] = dest.slot
             for chunk in self._wal.get(patient_id, ()):
                 await dest.gateway.submit_chunk(chunk)

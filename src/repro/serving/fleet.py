@@ -310,32 +310,12 @@ class MonitorFleet:
         fleet knows nothing of the patient at all.
         """
         patient_id = int(patient_id)
-        monitor = self._monitors.pop(patient_id, None)
-        kept: List[PendingWindow] = []
-        moved: List[PendingWindow] = []
-        for window in self._pending:
-            (moved if int(window.patient_id) == patient_id else kept).append(window)
-        if monitor is None and not moved:
-            raise KeyError(
-                "patient %d has no monitor and no pending windows here" % patient_id
-            )
-        self._pending = kept
+        state = self.snapshot_patient(patient_id)
+        self._monitors.pop(patient_id, None)
+        self._pending = [w for w in self._pending if int(w.patient_id) != patient_id]
         if not self._pending:
             self._oldest_pending_t = None
-        if monitor is not None:
-            state = monitor.snapshot()
-        else:
-            state = MonitorState(
-                version=MONITOR_STATE_VERSION,
-                patient_id=patient_id,
-                fs=self.fs,
-                detector=None,
-                windower=None,
-                sequence=None,
-                n_windows=0,
-                n_usable=0,
-            )
-        return replace(state, pending=tuple(moved))
+        return state
 
     def import_patient(self, state: MonitorState, pending_age_s: float = 0.0) -> int:
         """Atomically attach a migrated patient: monitor plus queued windows.

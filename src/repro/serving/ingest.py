@@ -51,8 +51,10 @@ classifier work is already batched by the drain policy.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import time
 from collections import deque
+from collections.abc import AsyncIterator, Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Mapping, Optional
 
@@ -593,79 +595,63 @@ class IngestGateway:
             except (ConnectionError, OSError):
                 pass
 
-    # ------------------------------------------------------------- resharding
-    def plan_topology(self, n_shards: Optional[int] = None, weights=None):
-        """Plan a fleet topology change (see :meth:`ShardedFleet.plan_topology
-        <repro.serving.sharding.ShardedFleet.plan_topology>`) without
-        touching the gateway or the fleet.  The plan's ``movers`` are the
-        quiesce set :meth:`apply_topology` will freeze."""
-        plan = getattr(self.fleet, "plan_topology", None)
-        if plan is None or not hasattr(self.fleet, "apply_topology"):
-            raise TypeError(
-                "fleet %r does not support live resharding" % type(self.fleet).__name__
-            )
-        return plan(n_shards, weights=weights)
+    # ------------------------------------------------------------- migration
+    async def reshard(self, n_shards: int) -> Dict[int, tuple]:
+        """Live-reshard the fleet underneath the gateway, zero frames lost.
 
-    async def apply_topology(self, plan) -> Dict[int, tuple]:
-        """Execute a :class:`~repro.serving.sharding.TopologyPlan` live,
-        zero frames lost.
-
-        Exactly the patients the plan reassigns are *quiesced*: the pump
-        skips their queues (their arrival-order markers stay put, so
-        per-patient FIFO delivery resumes exactly where it paused) while
-        their frames keep arriving and buffer under the normal backpressure
-        policies — ``block`` holds their nodes via TCP flow control, the
-        lossy policies shed/reject with the usual accounting.  Every other
-        patient streams on undisturbed.  Once in-flight pump work has
-        settled, the fleet migrates the frozen patients' monitor state
-        (:meth:`ShardedFleet.apply_topology
-        <repro.serving.sharding.ShardedFleet.apply_topology>`), delivery
-        resumes, and the :class:`GatewayStats` ledger invariant holds at
-        every suspension point throughout (quiesced frames are simply
-        ``queued``).
+        Exactly the patients the reshard moves
+        (:meth:`ShardedFleet.preview_reshard
+        <repro.serving.sharding.ShardedFleet.preview_reshard>`) are
+        *quiesced* (see :meth:`quiescing`) while every other patient streams
+        on undisturbed, and the fleet migrates the frozen patients' monitor
+        state (:meth:`ShardedFleet.reshard
+        <repro.serving.sharding.ShardedFleet.reshard>`).  The
+        :class:`GatewayStats` ledger invariant holds at every suspension
+        point throughout (quiesced frames are simply ``queued``).
 
         Returns the migrated ``{patient_id: (old_shard, new_shard)}``
         mapping.  Must not race :meth:`stop`: a shutdown flush that runs
         inside the quiesce window would leave the frozen patients' frames
         queued (never lost — a later :meth:`stop` delivers them).
         """
-        if not hasattr(self.fleet, "apply_topology"):
+        preview = getattr(self.fleet, "preview_reshard", None)
+        if preview is None or not hasattr(self.fleet, "reshard"):
             raise TypeError(
                 "fleet %r does not support live resharding" % type(self.fleet).__name__
             )
-        moving = set(plan.movers)
-        self._quiesced |= moving
-        try:
-            # One loop pass: whatever delivery step the pump is mid-way
-            # through completes before any monitor detaches; from here on it
-            # can only deliver non-quiesced patients' frames.
-            await asyncio.sleep(0)
-            moved = self.fleet.apply_topology(plan)
-        finally:
-            self._quiesced -= moving
-            if self._order:
-                self._data.set()  # wake the pump for the thawed queues
+        async with self.quiescing(preview(n_shards)):
+            moved = self.fleet.reshard(n_shards)
         self._reshards += 1
         return moved
 
-    async def reshard(self, n_shards: int) -> Dict[int, tuple]:
-        """Live-reshard the fleet underneath the gateway, zero frames lost.
+    @contextlib.asynccontextmanager
+    async def quiescing(self, patient_ids: Iterable[int]) -> AsyncIterator[None]:
+        """Hold ``patient_ids`` quiesced for the body of an ``async with``.
 
-        A thin wrapper: ``apply_topology(plan_topology(n_shards))`` — see
-        :meth:`apply_topology` for the quiesce protocol and guarantees.
+        The pump skips their queues (their arrival-order markers stay put,
+        so per-patient FIFO delivery resumes exactly where it paused) while
+        their frames keep arriving and buffer under the normal backpressure
+        policies — ``block`` holds their nodes via TCP flow control, the
+        lossy policies shed/reject with the usual accounting.  One loop pass
+        runs first, so whatever delivery the pump is mid-way through
+        completes before any monitor detaches.  The patients are resumed on
+        exit, however the body ends.  Both migrations through a gateway —
+        :meth:`reshard` and the cluster handoff — run inside this window.
         """
-        return await self.apply_topology(self.plan_topology(n_shards))
+        frozen = [int(pid) for pid in patient_ids]
+        self.quiesce_patients(frozen)
+        try:
+            await asyncio.sleep(0)
+            yield
+        finally:
+            self.resume_patients(frozen)
 
-    # ------------------------------------------------------------- federation
-    def quiesce_patients(self, patient_ids) -> None:
-        """Pause delivery for ``patient_ids`` (their frames keep queueing).
-
-        The cluster handoff protocol freezes a migrating patient here before
-        exporting their monitor state; matched by :meth:`resume_patients`.
-        """
+    def quiesce_patients(self, patient_ids: Iterable[int]) -> None:
+        """Pause delivery for ``patient_ids`` (their frames keep queueing);
+        matched by :meth:`resume_patients`."""
         self._quiesced |= {int(pid) for pid in patient_ids}
 
-    def resume_patients(self, patient_ids) -> None:
+    def resume_patients(self, patient_ids: Iterable[int]) -> None:
         """Thaw patients frozen by :meth:`quiesce_patients`."""
         self._quiesced -= {int(pid) for pid in patient_ids}
         if self._order:

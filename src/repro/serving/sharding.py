@@ -34,20 +34,20 @@ from __future__ import annotations
 import hashlib
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dsp.peaks import PanTompkinsParams
+from repro.serving import migration
 from repro.serving.fleet import MonitorFleet, decision_sort_key, run_streams
 from repro.serving.registry import InferenceBackend, ModelRegistry
 from repro.serving.scheduler import DrainPolicy, DrainStats, merge_stats
-from repro.serving.streaming import GapStats, PendingWindow, WindowDecision
+from repro.serving.streaming import GapStats, MonitorState, PendingWindow, WindowDecision
 from repro.serving.wire import decode_chunk_checked
 from repro.signals.windows import WindowingParams
 
-__all__ = ["HashRing", "ShardedFleet", "ShardDrainError", "TopologyPlan"]
+__all__ = ["HashRing", "ShardedFleet", "ShardDrainError"]
 
 
 class ShardDrainError(RuntimeError):
@@ -68,45 +68,6 @@ class ShardDrainError(RuntimeError):
         )
         self.errors = dict(errors)
         self.decisions = list(decisions)
-
-
-@dataclass(frozen=True)
-class TopologyPlan:
-    """One planned topology change: the target ring plus its migration set.
-
-    The single plan/apply currency of every topology-changing surface —
-    :meth:`ShardedFleet.plan_topology` / :meth:`ShardedFleet.apply_topology`,
-    the gateway's quiescing wrappers
-    (:meth:`~repro.serving.ingest.IngestGateway.plan_topology`), and the
-    federated cluster's node rebalancing
-    (:meth:`~repro.serving.cluster.GatewayCluster.plan_topology`).  A plan
-    is pure data: inspect :attr:`movers` for the migration cost, then hand
-    the plan to ``apply_topology`` — or drop it, which touches nothing.
-
-    ``movers`` maps each patient the target ring reassigns to their
-    ``(old_shard, new_shard)`` pair, computed against the membership at
-    planning time; ``apply_topology`` recomputes the exact set against the
-    membership at apply time (patients may have appeared in between), so the
-    plan's set is the *preview* and the apply's return value is the truth.
-    """
-
-    #: Target shard / node count.
-    n_shards: int
-    #: Target per-shard ring weights.
-    weights: Tuple[float, ...]
-    #: Preview migration set: ``{patient_id: (old, new)}`` at planning time.
-    movers: Dict[int, Tuple[int, int]] = field(default_factory=dict)
-    #: The target :class:`HashRing` itself.
-    ring: Optional["HashRing"] = None
-
-    @property
-    def is_noop(self) -> bool:
-        """Whether applying this plan would change nothing."""
-        return self.ring is None
-
-    @property
-    def n_movers(self) -> int:
-        return len(self.movers)
 
 
 class HashRing:
@@ -229,17 +190,18 @@ class HashRing:
         changed weight for a surviving shard is legal but that shard's key
         range is re-cut, so more patients move — ``moved`` is exact either
         way.
+
+        Tombstones carry over: every :attr:`excluded` shard that survives
+        the resize stays excluded in the new ring, so a failed-over slot
+        never comes back to life by growing the ring.
         """
         ring = HashRing(
             n_shards, replicas=self.replicas, weights=self.resized_weights(n_shards, weights)
         )
-        moved = {}
-        for patient_id in patient_ids:
-            patient_id = int(patient_id)
-            old, new = self.shard_of(patient_id), ring.shard_of(patient_id)
-            if old != new:
-                moved[patient_id] = (old, new)
-        return ring, moved
+        kept = [shard for shard in self.excluded if shard < ring.n_shards]
+        if kept:
+            ring, _ = ring.without_shards(kept)
+        return ring, self.movers(ring, patient_ids)
 
     def without_shards(
         self, shards: Iterable[int], patient_ids: Iterable[int] = ()
@@ -278,13 +240,20 @@ class HashRing:
         mask = ~np.isin(self._owners, np.asarray(sorted(excluded), dtype=np.int64))
         ring._points = self._points[mask]
         ring._owners = self._owners[mask]
+        return ring, self.movers(ring, patient_ids)
+
+    def movers(
+        self, target: "HashRing", patient_ids: Iterable[int]
+    ) -> Dict[int, Tuple[int, int]]:
+        """``{patient_id: (old_shard, new_shard)}`` for every patient in
+        ``patient_ids`` that ``target`` assigns elsewhere, in input order."""
         moved = {}
         for patient_id in patient_ids:
             patient_id = int(patient_id)
-            old, new = self.shard_of(patient_id), ring.shard_of(patient_id)
+            old, new = self.shard_of(patient_id), target.shard_of(patient_id)
             if old != new:
                 moved[patient_id] = (old, new)
-        return ring, moved
+        return moved
 
 
 # ---------------------------------------------------------------------------
@@ -585,61 +554,46 @@ class ShardedFleet:
             self._oldest_pending_t = None
 
     # ------------------------------------------------------------ resharding
-    def plan_topology(
-        self,
-        n_shards: Optional[int] = None,
-        weights: Optional[Sequence[float]] = None,
-    ) -> TopologyPlan:
-        """Plan a topology change without touching anything.
-
-        Returns a :class:`TopologyPlan` for resizing to ``n_shards``
-        (default: the current count — with ``weights``, a pure rebalance)
-        carrying the target ring and the preview migration set.  The plan is
-        inert data: the quiesce set an
-        :class:`~repro.serving.ingest.IngestGateway` freezes before starting
-        the real migration, and the cost model an autoscale controller
-        weighs against expected latency relief before committing.  Execute
-        it with :meth:`apply_topology`; dropping it costs nothing.
-        """
-        n_shards = self.n_shards if n_shards is None else int(n_shards)
+    def _target_ring(
+        self, n_shards: int, weights: Optional[Sequence[float]]
+    ) -> Optional[HashRing]:
+        """The ring a reshard to ``n_shards`` installs; ``None`` if unchanged."""
+        n_shards = int(n_shards)
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
         if n_shards == self.n_shards and (
             weights is None or tuple(float(w) for w in weights) == self.ring.weights
         ):
-            return TopologyPlan(
-                n_shards=self.n_shards, weights=self.ring.weights, movers={}, ring=None
-            )
-        ring, moved = self.ring.with_n_shards(
-            n_shards, sorted(self._known_patients), weights=weights
-        )
-        return TopologyPlan(
-            n_shards=n_shards, weights=ring.weights, movers=moved, ring=ring
-        )
+            return None
+        return self.ring.with_n_shards(n_shards, weights=weights)[0]
 
     def preview_reshard(
         self, n_shards: int, weights: Optional[Sequence[float]] = None
     ) -> Dict[int, tuple]:
-        """The migration :meth:`reshard` to ``n_shards`` would perform.
+        """The migration :meth:`reshard` to ``n_shards`` would perform now.
 
-        A thin wrapper over :meth:`plan_topology`: returns the plan's
-        preview ``{patient_id: (old_shard, new_shard)}`` set.
+        Touches nothing.  The ``{patient_id: (old_shard, new_shard)}`` set
+        is the quiesce set an :class:`~repro.serving.ingest.IngestGateway`
+        freezes before the real migration, and the cost an autoscale
+        controller weighs before acting.
         """
-        return dict(self.plan_topology(n_shards, weights=weights).movers)
+        ring = self._target_ring(n_shards, weights)
+        if ring is None:
+            return {}
+        return self.ring.movers(ring, sorted(self._known_patients))
 
     def reshard(
         self, n_shards: int, weights: Optional[Sequence[float]] = None
     ) -> Dict[int, tuple]:
         """Change the shard count live, with zero-loss state migration.
 
-        A thin wrapper: ``apply_topology(plan_topology(n_shards, weights))``.
-
         Only the minimally reassigned patients move (the
         :meth:`HashRing.with_n_shards` set): each is atomically detached from
         its old shard — DSP carry-over, partial windows, sequence position
         *and* queued pending windows, as one
         :class:`~repro.serving.streaming.MonitorState` — and attached to its
-        new one.  Every shard, old or new, shares the fleet's
+        new one, through the shared :mod:`repro.serving.migration` state
+        machine.  Every shard, old or new, shares the fleet's
         :class:`~repro.serving.registry.ModelRegistry`, so every patient's
         tailored model follows them unchanged.  ``weights`` re-cuts the ring per
         :meth:`HashRing.resized_weights` (same-count reshards with changed
@@ -666,76 +620,33 @@ class ShardedFleet:
         threads — quiesce the callers first (the ingest gateway does exactly
         that for the moving patients).
         """
-        return self.apply_topology(self.plan_topology(n_shards, weights=weights))
-
-    def apply_topology(self, plan: TopologyPlan) -> Dict[int, tuple]:
-        """Execute a :class:`TopologyPlan` from :meth:`plan_topology`.
-
-        The movers are recomputed here against the plan's target ring over
-        the *current* patient population, so traffic that arrived between
-        planning and applying is migrated too (the plan's ``movers`` are a
-        preview — the quiesce set, not the contract).  A no-op plan returns
-        ``{}`` without touching anything.  All the atomicity and parity
-        guarantees documented on :meth:`reshard` apply.
-        """
-        if plan.is_noop:
+        new_ring = self._target_ring(n_shards, weights)
+        if new_ring is None:
             return {}
-        new_ring = plan.ring
-        assert new_ring is not None  # is_noop is False
-        n_shards = plan.n_shards
-        moved: Dict[int, tuple] = {}
-        for patient_id in sorted(self._known_patients):
-            old_shard = self.ring.shard_of(patient_id)
-            new_shard = new_ring.shard_of(patient_id)
-            if old_shard != new_shard:
-                moved[patient_id] = (old_shard, new_shard)
-        # 1. Detach every moving patient while all old shards are still up,
-        #    touching *no* fleet state until every export has succeeded — a
-        #    failed export mid-migration must leave the fleet exactly as
-        #    found.  Each source shard's oldest-pending age is captured first
-        #    so the migrated windows don't look freshly-arrived on their new
-        #    shard (the shard-level maximum is a conservative upper bound per
-        #    patient, which only ever makes LatencyPolicy fire sooner).
-        source_age: Dict[int, float] = {}
-        states: List[tuple] = []
-        try:
-            for patient_id in sorted(moved):
-                old_shard, new_shard = moved[patient_id]
-                if old_shard not in source_age:
-                    source_age[old_shard] = self._backend.call(
-                        old_shard, "stats"
-                    ).oldest_pending_age_s
-                try:
-                    state = self._backend.call(old_shard, "export_patient", patient_id)
-                except KeyError:
-                    # Known only through since-drained enqueued windows: the
-                    # ring reassigns their *routing*, but there is no state
-                    # to move.
-                    continue
-                states.append((old_shard, new_shard, state))
-        except Exception:
-            # Roll back: restore every state already detached to its old
-            # shard (still present — the topology was never touched).
-            for old_shard, _, state in states:
-                self._backend.call(
-                    old_shard,
-                    "import_patient",
-                    state,
-                    pending_age_s=source_age.get(old_shard, 0.0),
-                )
-            raise
+        n_shards = new_ring.n_shards
+        moved = self.ring.movers(new_ring, sorted(self._known_patients))
+        # 1. Detach every mover while all old shards are still up, touching
+        #    *no* fleet state until every export has succeeded.  A patient
+        #    known only through since-drained enqueued windows has no state
+        #    to move: the ring reassigns only their routing.
+        detached = migration.detach(
+            ((pid, old, new) for pid, (old, new) in moved.items()),
+            export=lambda shard, pid: self._backend.call(shard, "export_patient", pid),
+            age_of=lambda shard: self._backend.call(shard, "stats").oldest_pending_age_s,
+            import_=self._import_patient,
+        )
         # 2. All exports in hand: account the detached windows.  A negative
         #    count here means the local ledger and the shards disagree —
         #    fail loudly rather than schedule drains off corrupt counters.
-        for old_shard, _, state in states:
-            if state.pending:
-                remaining = self._pending_by_shard.get(old_shard, 0) - len(state.pending)
+        for move in detached:
+            if move.state.pending:
+                remaining = self._pending_by_shard.get(move.source, 0) - len(move.state.pending)
                 if remaining < 0:
                     raise RuntimeError(
                         "pending count of shard %d went negative (%d) during reshard"
-                        % (old_shard, remaining)
+                        % (move.source, remaining)
                     )
-                self._pending_by_shard[old_shard] = remaining
+                self._pending_by_shard[move.source] = remaining
         # 3. Resize the executor topology.  Surviving shard indices keep
         #    their fleet objects (their ring points are
         #    unchanged, so their patients never noticed anything).
@@ -749,35 +660,18 @@ class ShardedFleet:
                 raise RuntimeError(
                     "removed shard %d still held %d pending windows" % (shard, leftover)
                 )
-        # 4. Attach the migrated states to their new owners, carrying each
-        #    source shard's queue age along.
-        orphaned: List[int] = []
-        import_error: Optional[Exception] = None
-        for old_shard, new_shard, state in states:
-            if import_error is not None:
-                orphaned.append(int(state.patient_id))
-                continue
-            try:
-                self._note_pending(
-                    new_shard,
-                    self._backend.call(
-                        new_shard,
-                        "import_patient",
-                        state,
-                        pending_age_s=source_age.get(old_shard, 0.0),
-                    ),
-                )
-            except Exception as exc:
-                import_error = exc
-                orphaned.append(int(state.patient_id))
-        if import_error is not None:
-            raise RuntimeError(
-                "reshard to %d shards failed importing migrated state; "
-                "orphaned patients: %s" % (n_shards, sorted(orphaned))
-            ) from import_error
+        # 4. Attach the migrated states to their new owners.
+        migration.attach(detached, self._import_patient)
         if sum(self._pending_by_shard.values()) == 0:
             self._oldest_pending_t = None
         return moved
+
+    def _import_patient(self, shard: int, state: MonitorState, pending_age_s: float) -> None:
+        """Attach one migrated state to ``shard`` and record its queue depth."""
+        self._note_pending(
+            shard,
+            self._backend.call(shard, "import_patient", state, pending_age_s=pending_age_s),
+        )
 
     def add_shard(self, weight: float = 1.0) -> Dict[int, tuple]:
         """Grow the fleet by one shard (of ring weight ``weight``); returns

@@ -62,7 +62,6 @@ import pytest
 from repro.dsp import peaks
 from repro.dsp.psd import band_powers, welch_psd
 from repro.features.extractor import FeatureExtractor, extract_cohort_features
-from repro.profile import _synth_beat_chunks
 from repro.quant import QuantizationConfig, QuantizedSVM
 from repro.serving import PendingWindow, classify_windows
 from repro.signals.dataset import CohortParams, generate_cohort
@@ -114,6 +113,22 @@ HOTPATH_RECORD = Path(__file__).with_name("BENCH_hotpath.json")
 
 #: Tolerated slack against the committed record: fail on >20% regression.
 RECORD_SLACK = 0.8
+
+
+def _synth_beat_chunks(rng, duration_s, chunk_s):
+    """A deterministic beat stream (~72 bpm with jitter), split into chunks
+    of ``(beat_times, amplitudes)``."""
+    n = int(duration_s / 0.83) + 8
+    rr = rng.uniform(0.7, 0.95, size=n)
+    times = np.cumsum(rr)
+    times = times[times < duration_s]
+    amps = 1.0 + 0.2 * rng.standard_normal(times.shape[0])
+    chunks = []
+    edges = np.arange(0.0, duration_s + chunk_s, chunk_s)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mask = (times >= lo) & (times < hi)
+        chunks.append((times[mask], amps[mask]))
+    return chunks
 
 
 def _reference_detector(model, config):

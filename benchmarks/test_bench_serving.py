@@ -12,10 +12,11 @@ The sharded benchmark then scales the fleet up (128 patients, thousands of
 pending windows per drain) and compares a single
 :class:`~repro.serving.fleet.MonitorFleet` drain against an 8-shard
 :class:`~repro.serving.sharding.ShardedFleet` drain over the identical
-workload.  With the fused preallocated kernel the monolithic drain no longer
-pays a cache penalty for its batch size, so on a single core the sharded
-drain's thread-pool orchestration is bounded overhead (asserted below); the
-shards classify concurrently on multi-core hosts.  Decisions must agree
+workload.  The shards drain one after another on the caller's thread, so
+the sharded drain does the single drain's work plus per-shard bookkeeping
+and a merge; with the fused preallocated kernel the monolithic drain no
+longer pays a cache penalty for its batch size, so that orchestration is a
+bounded overhead (asserted below), not a speed-up.  Decisions must agree
 decision-for-decision with the single fleet.
 """
 
@@ -263,12 +264,12 @@ def test_bench_sharded_fleet_drain(benchmark, experiment_data):
     # of cache and shard-sized batches won outright.  The fused preallocated
     # kernel (see benchmarks/test_bench_hotpath.py) removed that penalty —
     # the monolithic drain no longer pays for its batch size, and what is
-    # left of the difference is the thread-pool submit/merge overhead, which
-    # only pays for itself when real cores run the shards concurrently.  The
-    # comparison stays stable because it is the median of interleaved pair
-    # ratios (both paths see the same machine conditions, and the median
-    # drops the pairs a scheduling hiccup spoiled), with GC parked outside
-    # the timed regions.
+    # left of the difference is the per-shard drain and merge overhead (the
+    # shards run one after another on this thread; there is no concurrency
+    # to win it back).  The comparison stays stable because it is the median
+    # of interleaved pair ratios (both paths see the same machine conditions,
+    # and the median drops the pairs a scheduling hiccup spoiled), with GC
+    # parked outside the timed regions.
     assert ratio >= 0.7
 
 

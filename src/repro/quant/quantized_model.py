@@ -175,7 +175,10 @@ class QuantizedSVM:
         self.output_scale = self.coeff_scale * self.kernel_scale
         self.bias_int = int(round(model.bias / self.output_scale))
 
-        self._use_fast_path = self._fits_int64()
+        # The worst-case MAC1 bound is a Python-integer loop over every
+        # support-vector word; both overflow checks read it, so it runs once.
+        acc1_max = self._worst_case_acc1()
+        self._use_fast_path = self._fits_int64(acc1_max)
 
         # Fused batch pipeline (fast path only): the shifted support-vector
         # matrix is precomputed and transposed once so MAC1 over a whole
@@ -201,14 +204,15 @@ class QuantizedSVM:
             # loop).  Gated on the same exact worst-case bound style as
             # :meth:`_fits_int64`, so the int32 arithmetic can never wrap
             # and stays bit-identical to the int64 reference.
-            self._use_narrow_mac1 = self._fits_int32_mac1()
+            self._use_narrow_mac1 = self._fits_int32_mac1(acc1_max)
             if self._use_narrow_mac1:
                 self._sv_shifted_t32 = self._sv_shifted_t.astype(np.int32)
 
     def __getstate__(self) -> Dict[str, Any]:
-        # ``threading.local`` does not pickle; the process-pool fleet backend
-        # ships QuantizedSVM instances to workers, which rebuild their own
-        # (empty) per-thread workspace registry on arrival.
+        # ``threading.local`` does not pickle, so a pickled (or deep-copied)
+        # model drops its per-thread workspace registry and rebuilds an
+        # empty one on arrival.  The workspaces themselves stay: they are
+        # what keeps callers on different threads from sharing buffers.
         state = self.__dict__.copy()
         state.pop("_tls", None)
         return state
@@ -315,7 +319,7 @@ class QuantizedSVM:
 
     # ------------------------------------------------------------- pipeline
     @int_only
-    def _fits_int64(self) -> bool:
+    def _fits_int64(self, acc1_max: int) -> bool:
         """Worst-case overflow check for the int64 fast path.
 
         Bounds every intermediate of the pipeline with exact integer
@@ -324,9 +328,9 @@ class QuantizedSVM:
         quantised input (every feature saturated, signs aligned), instead of
         the purely symbolic bit-growth estimate used previously — which was
         so conservative that it pushed the paper's own 9/15-bit design point
-        onto the slow exact-arithmetic path.
+        onto the slow exact-arithmetic path.  ``acc1_max`` is
+        :meth:`_worst_case_acc1`.
         """
-        acc1_max = self._worst_case_acc1()
         # ``>>`` on a negative value floors towards -inf, so the magnitude
         # after truncation can exceed the shifted magnitude bound by one.
         dot_max = (acc1_max >> self.config.truncate_after_dot) + 1
@@ -357,7 +361,7 @@ class QuantizedSVM:
         return acc1_max
 
     @int_only
-    def _fits_int32_mac1(self) -> bool:
+    def _fits_int32_mac1(self, acc1_max: int) -> bool:
         """Exact overflow check for running the MAC1 stage in int32.
 
         True only when the quantised feature words, the shifted
@@ -366,7 +370,7 @@ class QuantizedSVM:
         a signed 32-bit word.  Under that bound int32 arithmetic is exact, so
         the narrow stage is bit-identical to the int64 reference by
         construction; the squarer and MAC2 still run in int64 (guarded by
-        :meth:`_fits_int64`).
+        :meth:`_fits_int64`).  ``acc1_max`` is :meth:`_worst_case_acc1`.
         """
         limit = 1 << 31
         if (1 << (self.config.feature_bits - 1)) > limit - 1:
@@ -376,7 +380,6 @@ class QuantizedSVM:
         for row in np.asarray(self.sv_int):
             for v, s in zip(row, shifts):
                 sv_shifted_max = max(sv_shifted_max, abs(int(v)) * s)
-        acc1_max = self._worst_case_acc1()
         dot_max = (acc1_max >> self.config.truncate_after_dot) + 1
         sum_max = dot_max + abs(self.kernel_offset_int)
         return max(sv_shifted_max, acc1_max, sum_max) < limit

@@ -33,8 +33,8 @@ Entry points, smallest to largest deployment:
   SVM call per drain, which is what lets one server keep up with a fleet of
   body sensor nodes (see ``benchmarks/test_bench_serving.py``);
 * :class:`~repro.serving.sharding.ShardedFleet` — N consistent-hash-routed
-  fleet shards behind the same interface (serial or thread-pool backend),
-  decision-for-decision identical to a single fleet
+  fleet shards behind the same interface, every shard call run on the
+  caller's thread, decision-for-decision identical to a single fleet
   (``tests/test_serving_sharding.py``).
 
 On top of the fleets sits the push-based front door:

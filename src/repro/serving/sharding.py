@@ -10,31 +10,37 @@ one canonically ordered decision list.
 
 The headline guarantee — enforced by the parity fuzz suite in
 ``tests/test_serving_sharding.py`` — is that sharding is *invisible* in the
-output: for any shard count, backend and drain policy, a sharded fleet
-produces decision-for-decision identical output to a single unsharded
+output: for any shard count and drain policy, a sharded fleet produces
+decision-for-decision identical output to a single unsharded
 :class:`~repro.serving.fleet.MonitorFleet` over the same streams.  This
 holds because each patient's DSP state lives on exactly one shard and the
 batched classifiers are batch-composition invariant (bit-exactly so on the
 integer fixed-point path).
 
-Two executor backends, both in-process (shards share the parent's objects;
-cross-host scale-out is the federated cluster of :mod:`repro.serving.cluster`):
+Shards are plain in-process objects, and every shard call — push, drain,
+flush, stat sweep, migration — runs on the calling thread.  Cross-host
+scale-out is the federated cluster of :mod:`repro.serving.cluster`.
 
-* ``"serial"`` — shards are plain in-process objects, calls run inline.
-  Zero overhead; also the fastest drain on a single core, because shard-
-  sized classification batches are kinder to the cache than one monolithic
-  batch (see ``benchmarks/test_bench_serving.py``).
-* ``"thread"`` — drains / flushes / stat polls fan out over a thread pool;
-  the NumPy kernels release the GIL, so shards classify concurrently on
-  multi-core hosts.
+A thread pool that fanned drains, flushes and stat sweeps out over the
+shards was measured and removed.  Handing a call to a pool thread wakes an
+idle core and leaves the caller on a cold one; the classifier kernels do
+release the GIL, but two shards only overlap enough to repay that on
+drains thousands of windows deep, while serving drains hold tens.  A
+2-shard drain with perfbench's ``replay-64hz-overlap`` detector (54
+support vectors), 2-vCPU host, median of 21 alternating drains::
+
+    windows per drain   thread pool   inline
+                   36       1.9 ms    0.97 ms
+                  512       6.1 ms     5.2 ms
+                 8192        68 ms      71 ms
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+import warnings
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -256,77 +262,6 @@ class HashRing:
         return moved
 
 
-# ---------------------------------------------------------------------------
-# Shard executor backends
-# ---------------------------------------------------------------------------
-
-
-def _invoke(fleet: MonitorFleet, method: str, *args: Any, **kwargs: Any) -> Any:
-    """Call a fleet method, or read a fleet property when ``method`` names one."""
-    attr = getattr(fleet, method)
-    if callable(attr):
-        return attr(*args, **kwargs)
-    return attr
-
-
-class _SerialBackend:
-    """Shards as plain in-process fleets; every call runs inline."""
-
-    def __init__(self, shards: Sequence[MonitorFleet]) -> None:
-        self.shards = list(shards)
-
-    def call(self, shard: int, method: str, *args: Any, **kwargs: Any) -> Any:
-        return _invoke(self.shards[shard], method, *args, **kwargs)
-
-    def call_all(self, method: str, *args: Any, **kwargs: Any) -> list:
-        return [_invoke(shard, method, *args, **kwargs) for shard in self.shards]
-
-    def call_all_settled(self, method: str, *args: Any, **kwargs: Any) -> list:
-        """Like :meth:`call_all`, but collects ``(ok, value_or_exc)`` pairs
-        instead of aborting on the first shard failure."""
-        settled = []
-        for shard in self.shards:
-            try:
-                settled.append((True, _invoke(shard, method, *args, **kwargs)))
-            except Exception as exc:
-                settled.append((False, exc))
-        return settled
-
-    def close(self) -> None:
-        pass
-
-
-class _ThreadBackend(_SerialBackend):
-    """Fan ``call_all`` out over a thread pool (NumPy releases the GIL)."""
-
-    def __init__(self, shards: Sequence[MonitorFleet]) -> None:
-        super().__init__(shards)
-        self._pool = ThreadPoolExecutor(
-            max_workers=len(self.shards), thread_name_prefix="shard"
-        )
-
-    def call_all(self, method: str, *args: Any, **kwargs: Any) -> list:
-        return [future.result() for future in self._submit_all(method, *args, **kwargs)]
-
-    def call_all_settled(self, method: str, *args: Any, **kwargs: Any) -> list:
-        settled = []
-        for future in self._submit_all(method, *args, **kwargs):
-            try:
-                settled.append((True, future.result()))
-            except Exception as exc:
-                settled.append((False, exc))
-        return settled
-
-    def _submit_all(self, method: str, *args, **kwargs) -> list:
-        return [
-            self._pool.submit(_invoke, shard, method, *args, **kwargs)
-            for shard in self.shards
-        ]
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
 _BACKENDS = ("serial", "thread")
 
 
@@ -349,11 +284,13 @@ class ShardedFleet:
         Fleet-level :class:`~repro.serving.scheduler.DrainPolicy`, evaluated
         against the merged shard stats; a trigger drains *all* shards.
     backend:
-        ``"serial"`` (default) or ``"thread"`` — see the module docstring.
-        Drain-policy scheduling is driven by *local* queue counters the
-        fleet maintains from the shards' return values (exact, and free of a
-        sweep over every shard on every chunk), so it behaves identically on
-        both backends; only the authoritative :meth:`stats` /
+        Accepted for compatibility only: ``"serial"`` (default) and
+        ``"thread"`` both run every shard call on the caller (the module
+        docstring has the measurement that retired the thread pool), and
+        ``"thread"`` emits a :class:`DeprecationWarning`.  Drain-policy
+        scheduling is driven by *local* queue counters the fleet maintains
+        from the shards' return values (exact, and free of a sweep over
+        every shard on every chunk); only the authoritative :meth:`stats` /
         :attr:`pending_count` sweep the shards.
     auto_register:
         Unknown-patient contract, forwarded to every shard (see
@@ -385,13 +322,20 @@ class ShardedFleet:
     ) -> None:
         if backend not in _BACKENDS:
             raise ValueError("unknown backend %r (choose from %s)" % (backend, _BACKENDS))
+        if backend == "thread":
+            warnings.warn(
+                'ShardedFleet(backend="thread") runs on the caller like "serial": '
+                "the thread-pool drain measured slower than the inline one at "
+                "serving batch sizes (see repro.serving.sharding)",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         if isinstance(classifier, ModelRegistry):
             self.registry = classifier
         else:
             self.registry = ModelRegistry(default=classifier)
         self.fs = float(fs)
         self.n_shards = int(n_shards)
-        self.backend_name = backend
         self.drain_policy = drain_policy
         self.auto_register = bool(auto_register)
         self.windowing = windowing
@@ -403,9 +347,7 @@ class ShardedFleet:
         # *same* patient->model mapping, so a patient's tailored model follows
         # them wherever the ring places them (including across reshards).
         # Every shard shares this very object.
-        shards = [self._make_shard() for _ in range(self.n_shards)]
-        backend_cls = _ThreadBackend if backend == "thread" else _SerialBackend
-        self._backend = backend_cls(shards)
+        self._shards = [self._make_shard() for _ in range(self.n_shards)]
         self._shard_of: Dict[int, int] = {}
         # Local queue bookkeeping, kept exact from the shards' return values:
         # windows only enter or leave a shard's queue through calls routed
@@ -462,16 +404,16 @@ class ShardedFleet:
     def add_patient(self, patient_id: int) -> int:
         """Register a patient on their shard; returns the shard index."""
         shard = self.shard_of(patient_id)
-        self._backend.call(shard, "add_patient", int(patient_id))
+        self._shards[shard].add_patient(int(patient_id))
         self._known_patients.add(int(patient_id))
         return shard
 
     def has_patient(self, patient_id: int) -> bool:
-        return self._backend.call(self.shard_of(patient_id), "has_patient", int(patient_id))
+        return self._shards[self.shard_of(patient_id)].has_patient(int(patient_id))
 
     @property
     def patient_ids(self) -> List[int]:
-        return sorted(pid for ids in self._backend.call_all("patient_ids") for pid in ids)
+        return sorted(pid for shard in self._shards for pid in shard.patient_ids)
 
     @property
     def n_patients(self) -> int:
@@ -492,7 +434,7 @@ class ShardedFleet:
         """
         patient_id = int(patient_id)
         shard = self.shard_of(patient_id)
-        pending = self._backend.call(shard, "push", patient_id, chunk, seq)
+        pending = self._shards[shard].push(patient_id, chunk, seq)
         self._known_patients.add(patient_id)
         self._chunks_since_drain += 1
         self._note_pending(shard, pending)
@@ -518,16 +460,14 @@ class ShardedFleet:
             # One membership probe per shard, not per patient; nothing is
             # queued until every shard has answered.
             for shard, group in by_shard.items():
-                missing = self._backend.call(
-                    shard, "missing_patients", [w.patient_id for w in group]
-                )
+                missing = self._shards[shard].missing_patients([w.patient_id for w in group])
                 if missing:
                     raise KeyError(
                         "unknown patient %d (auto_register=False; call "
                         "add_patient first)" % missing[0]
                     )
         for shard, group in by_shard.items():
-            self._note_pending(shard, self._backend.call(shard, "enqueue", group))
+            self._note_pending(shard, self._shards[shard].enqueue(group))
             # Queued windows make a patient migratable state: a reshard must
             # know to carry them along even if no chunk ever arrived.
             self._known_patients.update(int(w.patient_id) for w in group)
@@ -537,11 +477,11 @@ class ShardedFleet:
         """Flush one patient's stream (or every shard's streams)."""
         if patient_id is not None:
             shard = self.shard_of(patient_id)
-            pending = self._backend.call(shard, "finish", int(patient_id))
+            pending = self._shards[shard].finish(int(patient_id))
             self._note_pending(shard, pending)
             return pending
-        for shard, pending in enumerate(self._backend.call_all("finish")):
-            self._note_pending(shard, pending)
+        for shard, fleet in enumerate(self._shards):
+            self._note_pending(shard, fleet.finish())
         return sum(self._pending_by_shard.values())
 
     def _note_pending(self, shard: int, pending: int) -> None:
@@ -631,8 +571,8 @@ class ShardedFleet:
         #    to move: the ring reassigns only their routing.
         detached = migration.detach(
             ((pid, old, new) for pid, (old, new) in moved.items()),
-            export=lambda shard, pid: self._backend.call(shard, "export_patient", pid),
-            age_of=lambda shard: self._backend.call(shard, "stats").oldest_pending_age_s,
+            export=lambda shard, pid: self._shards[shard].export_patient(pid),
+            age_of=lambda shard: self._shards[shard].stats().oldest_pending_age_s,
             import_=self._import_patient,
         )
         # 2. All exports in hand: account the detached windows.  A negative
@@ -647,10 +587,11 @@ class ShardedFleet:
                         % (move.source, remaining)
                     )
                 self._pending_by_shard[move.source] = remaining
-        # 3. Resize the executor topology.  Surviving shard indices keep
-        #    their fleet objects (their ring points are
-        #    unchanged, so their patients never noticed anything).
-        self._resize_backend(n_shards)
+        # 3. Resize the shard list.  Surviving shard indices keep their
+        #    fleet objects (their ring points are unchanged, so their
+        #    patients never noticed anything).
+        del self._shards[n_shards:]
+        self._shards.extend(self._make_shard() for _ in range(n_shards - len(self._shards)))
         self.ring = new_ring
         self.n_shards = n_shards
         self._shard_of = {pid: shard for pid, (_, shard) in moved.items()}
@@ -670,7 +611,7 @@ class ShardedFleet:
         """Attach one migrated state to ``shard`` and record its queue depth."""
         self._note_pending(
             shard,
-            self._backend.call(shard, "import_patient", state, pending_age_s=pending_age_s),
+            self._shards[shard].import_patient(state, pending_age_s=pending_age_s),
         )
 
     def add_shard(self, weight: float = 1.0) -> Dict[int, tuple]:
@@ -686,16 +627,6 @@ class ShardedFleet:
         if self.n_shards <= 1:
             raise ValueError("cannot remove the last shard")
         return self.reshard(self.n_shards - 1)
-
-    def _resize_backend(self, n_shards: int) -> None:
-        shards = list(self._backend.shards)
-        if n_shards < len(shards):
-            shards = shards[:n_shards]
-        else:
-            shards.extend(self._make_shard() for _ in range(n_shards - len(shards)))
-        self._backend.close()  # retire the old thread pool, if any
-        backend_cls = _ThreadBackend if self.backend_name == "thread" else _SerialBackend
-        self._backend = backend_cls(shards)
 
     # -------------------------------------------------------------- draining
     def stats(self) -> DrainStats:
@@ -717,15 +648,15 @@ class ShardedFleet:
         they are an implementation detail behind this wrapper.
         """
         return merge_stats(
-            self._backend.call_all("stats"),
+            [shard.stats() for shard in self._shards],
             chunks_since_drain=self._chunks_since_drain,
         )
 
     def gap_stats(self) -> GapStats:
         """Lossy-mode gap accounting summed over every shard's monitors."""
         total = GapStats()
-        for stats in self._backend.call_all("gap_stats"):
-            total = total + stats
+        for shard in self._shards:
+            total = total + shard.gap_stats()
         return total
 
     def local_stats(self) -> DrainStats:
@@ -772,11 +703,14 @@ class ShardedFleet:
         return self._drain(self.local_stats())
 
     def _drain(self, stats: DrainStats) -> List[WindowDecision]:
-        settled = self._backend.call_all_settled("drain")
-        decisions = [d for ok, group in settled if ok for d in group]
-        errors = {shard: value for shard, (ok, value) in enumerate(settled) if not ok}
-        for shard, (ok, _) in enumerate(settled):
-            if ok:
+        decisions: List[WindowDecision] = []
+        errors: Dict[int, Exception] = {}
+        for shard, fleet in enumerate(self._shards):
+            try:
+                decisions.extend(fleet.drain())
+            except Exception as exc:
+                errors[shard] = exc
+            else:
                 self._pending_by_shard[shard] = 0
         if sum(self._pending_by_shard.values()) == 0:
             self._oldest_pending_t = None
@@ -808,8 +742,7 @@ class ShardedFleet:
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut the executor backend down (the thread pool, if any)."""
-        self._backend.close()
+        """No-op: shards hold no threads or other resources to release."""
 
     def __enter__(self) -> "ShardedFleet":
         return self

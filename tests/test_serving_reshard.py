@@ -567,21 +567,24 @@ class TestReshardAtomicity:
         before = fleet.local_stats()
         assert before.pending_windows == 24
         ring_before = fleet.ring
-        original_call = fleet._backend.call
         exports = {"n": 0}
 
-        def flaky_call(shard, method, *args, **kwargs):
-            if method == "export_patient":
+        def flaky(export_patient):
+            def flaky_export(patient_id):
                 exports["n"] += 1
                 if exports["n"] > 2:  # some exports succeed first
                     raise RuntimeError("worker died")
-            return original_call(shard, method, *args, **kwargs)
+                return export_patient(patient_id)
 
-        fleet._backend.call = flaky_call
+            return flaky_export
+
+        for shard_fleet in fleet._shards:
+            shard_fleet.export_patient = flaky(shard_fleet.export_patient)
         with pytest.raises(RuntimeError, match="worker died"):
             fleet.reshard(2)
         assert exports["n"] > 2  # the fault actually fired mid-migration
-        fleet._backend.call = original_call
+        for shard_fleet in fleet._shards:
+            del shard_fleet.export_patient
         # Nothing moved, nothing counted: topology, ring, counters, patients.
         assert fleet.n_shards == 4
         assert fleet.ring is ring_before
@@ -615,9 +618,9 @@ class TestReshardAtomicity:
         def dead_import(state, pending_age_s=0.0):
             raise RuntimeError("import worker died")
 
-        # Patch the surviving shard *fleets* (they outlive the executor
-        # rebuild a reshard performs): every 4→2 mover lands on one of them.
-        for shard_fleet in fleet._backend.shards[:2]:
+        # Patch the surviving shard *fleets* (a reshard keeps them): every
+        # 4→2 mover lands on one of them.
+        for shard_fleet in fleet._shards[:2]:
             shard_fleet.import_patient = dead_import
         with pytest.raises(RuntimeError, match="orphaned patients") as excinfo:
             fleet.reshard(2)
@@ -707,7 +710,7 @@ class TestStatsReconcileAfterDrainError:
             [_feature_window(pid, 0.0, feature_matrix.X[pid % 4]) for pid in range(8)]
         )
         assert fleet.local_stats().chunks_since_drain == 8
-        shard0 = fleet._backend.shards[0]
+        shard0 = fleet._shards[0]
         original_drain = shard0.drain
         fails = {"n": 0}
 

@@ -17,6 +17,7 @@ labels must still be identical.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -343,6 +344,68 @@ class TestDrainExceptionSafety:
             fleet.maybe_drain()
         assert fleet.local_stats().chunks_since_drain == 1
         assert fleet.should_drain()  # the retry is armed immediately
+
+
+class _ArmedPoisonClassifier(_PoisonableClassifier):
+    """Poisonable only while ``armed``, so a failed drain can be retried."""
+
+    armed = True
+
+    def scores_and_labels(self, X):
+        if self.armed:
+            return super().scores_and_labels(X)
+        return self._inner.scores_and_labels(X)
+
+
+class TestShardCallsRunOnTheCaller:
+    """Every shard call runs on the calling thread, whatever ``backend`` says."""
+
+    SPIED = ("drain", "finish", "stats", "gap_stats", "export_patient", "import_patient")
+
+    def test_thread_backend_starts_no_thread(self, quantized_detector, feature_matrix, monkeypatch):
+        from repro.serving import ShardDrainError, encode_chunk
+
+        seen = []
+        for name in self.SPIED:
+            original = getattr(MonitorFleet, name)
+
+            def spy(shard, *args, _name=name, _original=original, **kwargs):
+                seen.append((_name, threading.get_ident()))
+                return _original(shard, *args, **kwargs)
+
+            monkeypatch.setattr(MonitorFleet, name, spy)
+        threads_before = threading.active_count()
+        classifier = _ArmedPoisonClassifier(quantized_detector)
+        with pytest.warns(DeprecationWarning, match="backend"):
+            fleet = ShardedFleet(classifier, 128.0, n_shards=2, backend="thread")
+        for pid in range(6):
+            fleet.push_wire(encode_chunk(pid, 0, 128.0, np.zeros(256)))
+        poison = np.array(feature_matrix.X[0])
+        poison[0] = _PoisonableClassifier.POISON
+        fleet.enqueue(
+            [_feature_window(pid, 0.0, feature_matrix.X[pid]) for pid in range(1, 6)]
+            + [_feature_window(0, 0.0, poison)]
+        )
+        with pytest.raises(ShardDrainError) as excinfo:
+            fleet.drain()
+        assert set(excinfo.value.errors) == {fleet.shard_of(0)}
+        classifier.armed = False
+        retried = fleet.drain()
+        assert len(excinfo.value.decisions) + len(retried) == 6
+        assert fleet.finish() == 0
+        assert fleet.stats().pending_windows == 0
+        assert fleet.gap_stats().gaps == 0
+        fleet.enqueue([_feature_window(pid, 180.0, feature_matrix.X[pid]) for pid in range(6)])
+        fleet.reshard(1)
+        fleet.reshard(2)
+        for pid in range(6):
+            fleet.push_wire(encode_chunk(pid, 1, 128.0, np.zeros(256)))
+        assert len(fleet.drain()) == 6
+        # Checked before close(): a pool would still hold its workers here.
+        assert threading.active_count() == threads_before
+        assert {name for name, _ in seen} == set(self.SPIED)
+        assert {ident for _, ident in seen} == {threading.get_ident()}
+        fleet.close()
 
 
 class TestHashRing:

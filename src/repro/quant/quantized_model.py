@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -175,9 +175,9 @@ class QuantizedSVM:
         self.output_scale = self.coeff_scale * self.kernel_scale
         self.bias_int = int(round(model.bias / self.output_scale))
 
-        # The worst-case MAC1 bound is a Python-integer loop over every
-        # support-vector word; both overflow checks read it, so it runs once.
-        acc1_max = self._worst_case_acc1()
+        # The worst-case MAC1 bounds are a Python-integer loop over every
+        # support-vector word; both overflow checks read them, so it runs once.
+        acc1_max, sv_shifted_max = self._worst_case_acc1()
         self._use_fast_path = self._fits_int64(acc1_max)
 
         # Fused batch pipeline (fast path only): the shifted support-vector
@@ -204,7 +204,7 @@ class QuantizedSVM:
             # loop).  Gated on the same exact worst-case bound style as
             # :meth:`_fits_int64`, so the int32 arithmetic can never wrap
             # and stays bit-identical to the int64 reference.
-            self._use_narrow_mac1 = self._fits_int32_mac1(acc1_max)
+            self._use_narrow_mac1 = self._fits_int32_mac1(acc1_max, sv_shifted_max)
             if self._use_narrow_mac1:
                 self._sv_shifted_t32 = self._sv_shifted_t.astype(np.int32)
 
@@ -328,7 +328,7 @@ class QuantizedSVM:
         quantised input (every feature saturated, signs aligned), instead of
         the purely symbolic bit-growth estimate used previously — which was
         so conservative that it pushed the paper's own 9/15-bit design point
-        onto the slow exact-arithmetic path.  ``acc1_max`` is
+        onto the slow exact-arithmetic path.  ``acc1_max`` comes from
         :meth:`_worst_case_acc1`.
         """
         # ``>>`` on a negative value floors towards -inf, so the magnitude
@@ -345,23 +345,28 @@ class QuantizedSVM:
         return max(acc1_max, squared_max, acc2_max) < limit
 
     @int_only
-    def _worst_case_acc1(self) -> int:
-        """Exact worst-case magnitude of the MAC1 accumulator.
+    def _worst_case_acc1(self) -> Tuple[int, int]:
+        """Exact worst-case magnitudes of the MAC1 accumulator and of one
+        shifted support-vector word, as ``(acc1_max, sv_shifted_max)``.
 
-        Computed against the most adverse quantised input (every feature
-        saturated, signs aligned with the support-vector words), so it also
-        bounds every partial sum the accumulation can ever pass through.
+        ``acc1_max`` is computed against the most adverse quantised input
+        (every feature saturated, signs aligned with the support-vector
+        words), so it also bounds every partial sum the accumulation can
+        ever pass through.  One pass over the words yields both maxima.
         """
         q_max = 1 << (self.config.feature_bits - 1)
         shifts = [1 << int(s) for s in self.product_shifts]
         acc1_max = 0
-        for row in np.asarray(self.sv_int):
-            total = sum(q_max * abs(int(v)) * s for v, s in zip(row, shifts))
-            acc1_max = max(acc1_max, total)
-        return acc1_max
+        sv_shifted_max = 0
+        # ``tolist`` yields exact Python integers whatever the array's dtype.
+        for row in np.asarray(self.sv_int).tolist():
+            shifted = [abs(v) * s for v, s in zip(row, shifts)]
+            acc1_max = max(acc1_max, q_max * sum(shifted))
+            sv_shifted_max = max(sv_shifted_max, max(shifted, default=0))
+        return acc1_max, sv_shifted_max
 
     @int_only
-    def _fits_int32_mac1(self, acc1_max: int) -> bool:
+    def _fits_int32_mac1(self, acc1_max: int, sv_shifted_max: int) -> bool:
         """Exact overflow check for running the MAC1 stage in int32.
 
         True only when the quantised feature words, the shifted
@@ -370,16 +375,11 @@ class QuantizedSVM:
         a signed 32-bit word.  Under that bound int32 arithmetic is exact, so
         the narrow stage is bit-identical to the int64 reference by
         construction; the squarer and MAC2 still run in int64 (guarded by
-        :meth:`_fits_int64`).  ``acc1_max`` is :meth:`_worst_case_acc1`.
+        :meth:`_fits_int64`).  Both maxima come from :meth:`_worst_case_acc1`.
         """
         limit = 1 << 31
         if (1 << (self.config.feature_bits - 1)) > limit - 1:
             return False
-        sv_shifted_max = 0
-        shifts = [1 << int(s) for s in self.product_shifts]
-        for row in np.asarray(self.sv_int):
-            for v, s in zip(row, shifts):
-                sv_shifted_max = max(sv_shifted_max, abs(int(v)) * s)
         dot_max = (acc1_max >> self.config.truncate_after_dot) + 1
         sum_max = dot_max + abs(self.kernel_offset_int)
         return max(sv_shifted_max, acc1_max, sum_max) < limit

@@ -4,11 +4,11 @@ PR 5 made the topology elastic — :meth:`ShardedFleet.reshard
 <repro.serving.sharding.ShardedFleet.reshard>` migrates exactly the
 ring-reassigned patients with zero state loss — but nothing *drove* it: an
 operator had to watch queue depths and call it by hand.
-:class:`AutoscaleController` closes the loop.  It samples the two cheap,
-exact signal sources the serving stack already maintains —
-:meth:`ShardedFleet.local_stats
-<repro.serving.sharding.ShardedFleet.local_stats>` (pending windows,
-oldest-pending age) and :class:`~repro.serving.ingest.GatewayStats` (queued
+:class:`AutoscaleController` closes the loop.  It samples the two queue
+snapshots the serving stack already keeps —
+:meth:`ShardedFleet.stats <repro.serving.sharding.ShardedFleet.stats>`
+(pending windows and oldest-pending age, read from the shards' queues,
+and the patient count) and :class:`~repro.serving.ingest.GatewayStats` (queued
 frames, shed/reject counters) — and decides when the fleet should grow or
 shrink by one shard.
 
@@ -266,8 +266,9 @@ class AutoscaleController:
     ----------
     fleet:
         The :class:`~repro.serving.sharding.ShardedFleet` to control.  The
-        controller only ever *plans* from cheap local state
-        (:meth:`~repro.serving.sharding.ShardedFleet.local_stats`,
+        controller only ever *plans* from the fleet's queue snapshot and a
+        dry run of the migration
+        (:meth:`~repro.serving.sharding.ShardedFleet.stats`,
         :meth:`~repro.serving.sharding.ShardedFleet.preview_reshard`);
         whether it also *acts* directly (:meth:`step`) or hands the action
         to a quiescing gateway (:meth:`plan` + :meth:`note_action`) is the
@@ -330,7 +331,7 @@ class AutoscaleController:
             # The EWMA re-seeds itself on a gap; the CUSUM sums are evidence
             # accumulated about a regime nobody watched end — drop them too.
             self.cusum.reset()
-        stats = self.fleet.local_stats()
+        stats = self.fleet.stats()
         queued = 0 if gateway_stats is None else int(gateway_stats.queued_frames)
         pressure = (stats.pending_windows + queued) / max(1, self.fleet.n_shards)
         smoothed = self.ewma.update(pressure, now)
@@ -383,7 +384,7 @@ class AutoscaleController:
         )
         if in_cooldown:
             return hold("cooldown")
-        n_patients = max(1, self.fleet.local_stats().n_patients)
+        n_patients = max(1, self.fleet.stats().n_patients)
         if want_up:
             if n >= cfg.max_shards:
                 return hold("at-max-shards")

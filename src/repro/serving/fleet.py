@@ -241,15 +241,6 @@ class MonitorFleet:
     def monitor(self, patient_id: int) -> StreamingMonitor:
         return self._monitors[int(patient_id)]
 
-    def missing_patients(self, patient_ids: Iterable[int]) -> List[int]:
-        """Ids from ``patient_ids`` with no registered monitor.
-
-        One-call membership probe for routing layers: the sharded fleet's
-        strict-mode ``enqueue`` validates a whole replay batch with a single
-        round-trip per shard instead of one ``has_patient`` call per id.
-        """
-        return sorted({int(p) for p in patient_ids} - set(self._monitors))
-
     def has_patient(self, patient_id: int) -> bool:
         return int(patient_id) in self._monitors
 

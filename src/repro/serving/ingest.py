@@ -464,8 +464,7 @@ class IngestGateway:
         try:
             # Also the safety net for a gateway that was fed but never
             # started: no submitted frame is ever silently lost.
-            while self._deliver_one():
-                self._poll_drain()
+            self.flush_queues()
             self.fleet.finish()
             final = self.fleet.drain()
         finally:
@@ -857,7 +856,8 @@ class IngestGateway:
     async def _maybe_autoscale(self) -> None:
         """One autoscale control tick, if a controller is installed.
 
-        Planning is synchronous (cheap local counters only); a non-hold
+        Planning is synchronous (it reads the fleet's queue snapshot and
+        this gateway's counters, and previews the migration); a non-hold
         decision executes through :meth:`reshard`, whose quiesce window is
         the only suspension — and by the pump-loop contract nothing else
         delivers frames while this coroutine is parked there.

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 __all__ = [
     "DrainStats",
@@ -37,7 +37,6 @@ __all__ = [
     "PendingWindowPolicy",
     "LatencyPolicy",
     "AnyOf",
-    "merge_stats",
 ]
 
 
@@ -52,34 +51,10 @@ class DrainStats:
     #: Wall-clock age of the oldest queued window (0.0 when the queue is
     #: empty), measured on the fleet's monotonic clock.
     oldest_pending_age_s: float
-    #: Number of registered patients.
+    #: Patients the fleet serves.  A single fleet counts its registered
+    #: monitors; a sharded fleet counts every patient it has routed,
+    #: replay-only ones (known only through ``enqueue``) included.
     n_patients: int
-
-
-def merge_stats(
-    parts: Iterable[DrainStats], *, chunks_since_drain: Optional[int] = None
-) -> DrainStats:
-    """Combine per-shard snapshots into one fleet-level snapshot.
-
-    Counters add; the oldest pending age is the max over shards (the worst
-    latency anywhere in the fleet is what a latency policy must bound).
-
-    ``chunks_since_drain`` lets an aggregator that keeps its *own* exact
-    chunk counter (``ShardedFleet``) override the per-shard sum.  The two
-    diverge after a partial drain failure: shards that drained successfully
-    reset their counters, but fleet-level the drain has not happened — the
-    fleet-level meaning of the field is "chunks since the last
-    fully-successful fleet-wide drain", and only the aggregator knows that.
-    """
-    parts = list(parts)
-    if chunks_since_drain is None:
-        chunks_since_drain = sum(p.chunks_since_drain for p in parts)
-    return DrainStats(
-        pending_windows=sum(p.pending_windows for p in parts),
-        chunks_since_drain=int(chunks_since_drain),
-        oldest_pending_age_s=max((p.oldest_pending_age_s for p in parts), default=0.0),
-        n_patients=sum(p.n_patients for p in parts),
-    )
 
 
 class DrainPolicy(ABC):

@@ -48,7 +48,7 @@ from repro.dsp.peaks import PanTompkinsParams
 from repro.serving import migration
 from repro.serving.fleet import MonitorFleet, decision_sort_key, run_streams
 from repro.serving.registry import InferenceBackend, ModelRegistry
-from repro.serving.scheduler import DrainPolicy, DrainStats, merge_stats
+from repro.serving.scheduler import DrainPolicy, DrainStats
 from repro.serving.streaming import GapStats, MonitorState, PendingWindow, WindowDecision
 from repro.serving.wire import decode_chunk_checked
 from repro.signals.windows import WindowingParams
@@ -287,11 +287,7 @@ class ShardedFleet:
         Accepted for compatibility only: ``"serial"`` (default) and
         ``"thread"`` both run every shard call on the caller (the module
         docstring has the measurement that retired the thread pool), and
-        ``"thread"`` emits a :class:`DeprecationWarning`.  Drain-policy
-        scheduling is driven by *local* queue counters the fleet maintains
-        from the shards' return values (exact, and free of a sweep over
-        every shard on every chunk); only the authoritative :meth:`stats` /
-        :attr:`pending_count` sweep the shards.
+        ``"thread"`` emits a :class:`DeprecationWarning`.
     auto_register:
         Unknown-patient contract, forwarded to every shard (see
         :class:`~repro.serving.fleet.MonitorFleet`).
@@ -349,12 +345,9 @@ class ShardedFleet:
         # Every shard shares this very object.
         self._shards = [self._make_shard() for _ in range(self.n_shards)]
         self._shard_of: Dict[int, int] = {}
-        # Local queue bookkeeping, kept exact from the shards' return values:
-        # windows only enter or leave a shard's queue through calls routed
-        # here, so drain-policy decisions never need a cross-shard sweep.
-        self._pending_by_shard: Dict[int, int] = {}
+        # Chunks since the last fully-successful fleet-wide drain (see
+        # :meth:`stats`); the shards' own counters cannot say that.
         self._chunks_since_drain = 0
-        self._oldest_pending_t: Optional[float] = None
         self._known_patients: set = set()
 
     def _make_shard(self) -> MonitorFleet:
@@ -421,7 +414,7 @@ class ShardedFleet:
 
     @property
     def pending_count(self) -> int:
-        return self.stats().pending_windows
+        return sum(shard.pending_count for shard in self._shards)
 
     # -------------------------------------------------------------- streaming
     def push(self, patient_id: int, chunk: np.ndarray, seq: int | None = None) -> int:
@@ -437,7 +430,6 @@ class ShardedFleet:
         pending = self._shards[shard].push(patient_id, chunk, seq)
         self._known_patients.add(patient_id)
         self._chunks_since_drain += 1
-        self._note_pending(shard, pending)
         return pending
 
     def push_wire(self, frame: bytes) -> int:
@@ -455,43 +447,29 @@ class ShardedFleet:
         """
         by_shard: Dict[int, List[PendingWindow]] = {}
         for window in windows:
-            by_shard.setdefault(self.shard_of(window.patient_id), []).append(window)
-        if not self.auto_register:
-            # One membership probe per shard, not per patient; nothing is
-            # queued until every shard has answered.
-            for shard, group in by_shard.items():
-                missing = self._shards[shard].missing_patients([w.patient_id for w in group])
-                if missing:
-                    raise KeyError(
-                        "unknown patient %d (auto_register=False; call "
-                        "add_patient first)" % missing[0]
-                    )
+            shard = self.shard_of(window.patient_id)
+            if not self.auto_register and not self._shards[shard].has_patient(
+                window.patient_id
+            ):
+                raise KeyError(
+                    "unknown patient %d (auto_register=False; call add_patient first)"
+                    % int(window.patient_id)
+                )
+            by_shard.setdefault(shard, []).append(window)
         for shard, group in by_shard.items():
-            self._note_pending(shard, self._shards[shard].enqueue(group))
+            self._shards[shard].enqueue(group)
             # Queued windows make a patient migratable state: a reshard must
             # know to carry them along even if no chunk ever arrived.
             self._known_patients.update(int(w.patient_id) for w in group)
-        return sum(self._pending_by_shard.values())
+        return self.pending_count
 
     def finish(self, patient_id: int | None = None) -> int:
         """Flush one patient's stream (or every shard's streams)."""
         if patient_id is not None:
-            shard = self.shard_of(patient_id)
-            pending = self._shards[shard].finish(int(patient_id))
-            self._note_pending(shard, pending)
-            return pending
-        for shard, fleet in enumerate(self._shards):
-            self._note_pending(shard, fleet.finish())
-        return sum(self._pending_by_shard.values())
-
-    def _note_pending(self, shard: int, pending: int) -> None:
-        """Record a shard's reported queue depth; keep the oldest-window clock."""
-        self._pending_by_shard[shard] = int(pending)
-        if sum(self._pending_by_shard.values()) > 0:
-            if self._oldest_pending_t is None:
-                self._oldest_pending_t = self._clock()
-        else:
-            self._oldest_pending_t = None
+            return self._shards[self.shard_of(patient_id)].finish(int(patient_id))
+        for fleet in self._shards:
+            fleet.finish()
+        return self.pending_count
 
     # ------------------------------------------------------------ resharding
     def _target_ring(
@@ -545,8 +523,8 @@ class ShardedFleet:
         pushes and drains.
 
         Failure atomicity: every moving patient is exported *before* any
-        counter or topology mutation.  If an export raises, the states
-        already collected are restored to their old shards and the original
+        topology mutation.  If an export raises, the states already
+        collected are restored to their old shards and the original
         exception propagates — the fleet is left exactly as it was, and the
         call is retryable.  (A failure while *importing* into the new
         topology cannot be rolled back the same way — the old topology is
@@ -568,26 +546,15 @@ class ShardedFleet:
         # 1. Detach every mover while all old shards are still up, touching
         #    *no* fleet state until every export has succeeded.  A patient
         #    known only through since-drained enqueued windows has no state
-        #    to move: the ring reassigns only their routing.
+        #    to move: the ring reassigns only their routing.  Every window
+        #    of a removed shard belongs to a mover, so nothing is left behind.
         detached = migration.detach(
             ((pid, old, new) for pid, (old, new) in moved.items()),
             export=lambda shard, pid: self._shards[shard].export_patient(pid),
             age_of=lambda shard: self._shards[shard].stats().oldest_pending_age_s,
             import_=self._import_patient,
         )
-        # 2. All exports in hand: account the detached windows.  A negative
-        #    count here means the local ledger and the shards disagree —
-        #    fail loudly rather than schedule drains off corrupt counters.
-        for move in detached:
-            if move.state.pending:
-                remaining = self._pending_by_shard.get(move.source, 0) - len(move.state.pending)
-                if remaining < 0:
-                    raise RuntimeError(
-                        "pending count of shard %d went negative (%d) during reshard"
-                        % (move.source, remaining)
-                    )
-                self._pending_by_shard[move.source] = remaining
-        # 3. Resize the shard list.  Surviving shard indices keep their
+        # 2. Resize the shard list.  Surviving shard indices keep their
         #    fleet objects (their ring points are unchanged, so their
         #    patients never noticed anything).
         del self._shards[n_shards:]
@@ -595,24 +562,13 @@ class ShardedFleet:
         self.ring = new_ring
         self.n_shards = n_shards
         self._shard_of = {pid: shard for pid, (_, shard) in moved.items()}
-        for shard in [s for s in self._pending_by_shard if s >= n_shards]:
-            leftover = self._pending_by_shard.pop(shard)
-            if leftover:
-                raise RuntimeError(
-                    "removed shard %d still held %d pending windows" % (shard, leftover)
-                )
-        # 4. Attach the migrated states to their new owners.
+        # 3. Attach the migrated states to their new owners.
         migration.attach(detached, self._import_patient)
-        if sum(self._pending_by_shard.values()) == 0:
-            self._oldest_pending_t = None
         return moved
 
     def _import_patient(self, shard: int, state: MonitorState, pending_age_s: float) -> None:
-        """Attach one migrated state to ``shard`` and record its queue depth."""
-        self._note_pending(
-            shard,
-            self._shards[shard].import_patient(state, pending_age_s=pending_age_s),
-        )
+        """Attach one migrated state to ``shard``, keeping its queue age."""
+        self._shards[shard].import_patient(state, pending_age_s=pending_age_s)
 
     def add_shard(self, weight: float = 1.0) -> Dict[int, tuple]:
         """Grow the fleet by one shard (of ring weight ``weight``); returns
@@ -630,27 +586,40 @@ class ShardedFleet:
 
     # -------------------------------------------------------------- draining
     def stats(self) -> DrainStats:
-        """Authoritative merged stats, swept from every shard.
+        """The fleet's queue snapshot, read from the shards' queues.
 
-        Scheduling decisions use :meth:`local_stats` instead (exact and
-        sweep-free); this sweep is for observability and tests.
+        The one snapshot every drain decision, autoscale sample and test
+        reads.  ``pending_windows`` sums the shards' queues, and
+        ``oldest_pending_age_s`` is the age of the oldest window queued on
+        any shard, on one clock read: a window a drain has already decided
+        never ages the snapshot.
 
-        Contract: ``chunks_since_drain`` counts chunks since the last
-        *fully-successful fleet-wide* drain, on both snapshots.  The wrapper
-        counter is the authority and overrides the per-shard sum here:
-        after a partial drain failure (:class:`ShardDrainError`) the healthy
-        shards have reset their own counters, but fleet-level the drain has
-        not happened — a ``ChunkCountPolicy`` must keep re-triggering until
-        the failed shard's windows are retried.  Without the override the
-        two snapshots would disagree until the next full drain, and a
-        controller sampling the sweep would misread the backlog as cleared.
-        The per-shard counters remain what a *standalone* fleet reports;
-        they are an implementation detail behind this wrapper.
+        ``chunks_since_drain`` counts chunks since the last
+        *fully-successful fleet-wide* drain, and only this wrapper knows
+        that: after a partial drain failure (:class:`ShardDrainError`) the
+        healthy shards have reset their own counters, but fleet-level the
+        drain has not happened — a ``ChunkCountPolicy`` must keep
+        re-triggering until the failed shard's windows are retried.
+
+        ``n_patients`` counts every patient ever routed here — pushed,
+        added, or known only through :meth:`enqueue` — the set
+        :meth:`preview_reshard` draws its movers from.
         """
-        return merge_stats(
-            [shard.stats() for shard in self._shards],
-            chunks_since_drain=self._chunks_since_drain,
-        )
+        pending = 0
+        oldest_t: Optional[float] = None
+        for shard in self._shards:
+            # Direct reads of the shard's queue: a per-shard ``stats()``
+            # would cost a clock read and a snapshot object each.
+            queue = shard._pending
+            if queue:
+                pending += len(queue)
+                t = shard._oldest_pending_t
+                if t is not None and (oldest_t is None or t < oldest_t):
+                    oldest_t = t
+        age = 0.0 if oldest_t is None else max(0.0, self._clock() - oldest_t)
+        # Positional: the keyword form of this frozen dataclass costs ~40%
+        # more per call, and a poll runs after every delivered chunk.
+        return DrainStats(pending, self._chunks_since_drain, age, len(self._known_patients))
 
     def gap_stats(self) -> GapStats:
         """Lossy-mode gap accounting summed over every shard's monitors."""
@@ -659,33 +628,14 @@ class ShardedFleet:
             total = total + shard.gap_stats()
         return total
 
-    def local_stats(self) -> DrainStats:
-        """Queue snapshot from the fleet's own counters — no shard calls.
-
-        Exact by construction: windows only enter or leave shard queues
-        through this object, which records every reported queue depth.
-        """
-        if self._oldest_pending_t is not None:
-            oldest_age = max(0.0, self._clock() - self._oldest_pending_t)
-        else:
-            oldest_age = 0.0
-        return DrainStats(
-            pending_windows=sum(self._pending_by_shard.values()),
-            chunks_since_drain=self._chunks_since_drain,
-            oldest_pending_age_s=oldest_age,
-            n_patients=len(self._known_patients),
-        )
-
     def should_drain(self) -> bool:
-        return self.drain_policy is not None and self.drain_policy.should_drain(
-            self.local_stats()
-        )
+        return self.drain_policy is not None and self.drain_policy.should_drain(self.stats())
 
     def maybe_drain(self) -> List[WindowDecision]:
-        """Drain if the policy triggers on the local counters; else ``[]``."""
+        """Drain if the policy triggers on :meth:`stats`; else ``[]``."""
         if self.drain_policy is None:
             return []
-        stats = self.local_stats()
+        stats = self.stats()
         if not self.drain_policy.should_drain(stats):
             return []
         return self._drain(stats)
@@ -700,7 +650,7 @@ class ShardedFleet:
         and a :class:`ShardDrainError` carrying the healthy shards' decisions
         is raised, so nothing is ever silently lost.
         """
-        return self._drain(self.local_stats())
+        return self._drain(self.stats())
 
     def _drain(self, stats: DrainStats) -> List[WindowDecision]:
         decisions: List[WindowDecision] = []
@@ -710,10 +660,6 @@ class ShardedFleet:
                 decisions.extend(fleet.drain())
             except Exception as exc:
                 errors[shard] = exc
-            else:
-                self._pending_by_shard[shard] = 0
-        if sum(self._pending_by_shard.values()) == 0:
-            self._oldest_pending_t = None
         decisions.sort(key=decision_sort_key)
         if errors:
             # Keep the chunk counter: a chunk-count policy must re-trigger on

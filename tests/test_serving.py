@@ -22,7 +22,6 @@ from repro.serving import (
     StreamingMonitor,
     classify_windows,
 )
-from repro.serving.scheduler import DrainStats, merge_stats
 from repro.signals.dataset import CohortParams, generate_cohort
 from repro.signals.ecg_model import synthesize_ecg
 from repro.signals.windows import StreamingWindower, WindowingParams
@@ -400,30 +399,6 @@ class TestDrainPolicies:
             LatencyPolicy(-1.0)
         with pytest.raises(ValueError):
             AnyOf([])
-
-    def test_merge_stats(self):
-        merged = merge_stats(
-            [
-                DrainStats(
-                    pending_windows=2,
-                    chunks_since_drain=5,
-                    oldest_pending_age_s=1.5,
-                    n_patients=3,
-                ),
-                DrainStats(
-                    pending_windows=0,
-                    chunks_since_drain=1,
-                    oldest_pending_age_s=0.0,
-                    n_patients=2,
-                ),
-            ]
-        )
-        assert merged == DrainStats(
-            pending_windows=2, chunks_since_drain=6, oldest_pending_age_s=1.5, n_patients=5
-        )
-        assert merge_stats([]) == DrainStats(
-            pending_windows=0, chunks_since_drain=0, oldest_pending_age_s=0.0, n_patients=0
-        )
 
 
 class TestBatchedModelParity:

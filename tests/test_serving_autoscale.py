@@ -575,7 +575,6 @@ def _run_soak(fleet, controller, feature_matrix, schedule, *, n_patients, seed, 
                 assert g.start_s == e.start_s
                 assert g.score == e.score  # bit-exact fixed-point parity
                 assert g.alarm == e.alarm
-            assert all(c >= 0 for c in fleet._pending_by_shard.values())
             trajectory.append(fleet.n_shards)
     return trajectory
 
@@ -647,4 +646,4 @@ class TestSoakConvergence:
         )
         assert flips <= len(phases)
         assert fleet.n_shards >= SOAK_CONFIG.min_shards
-        assert fleet.local_stats().pending_windows == 0  # every tick drained clean
+        assert fleet.stats().pending_windows == 0  # every tick drained clean

@@ -540,12 +540,12 @@ class TestHashRingReshard:
 class TestReshardAtomicity:
     """Satellite bugfix: a failed migration must leave the fleet untouched.
 
-    Before the fix, ``reshard`` decremented ``_pending_by_shard`` inside the
-    export loop and mutated the topology before any import — a raising
-    ``export_patient`` (e.g. a dead process worker) left counters corrupt
-    and already-exported patients destroyed.  Now every state is collected
-    before any mutation, an export failure rolls the collected states back
-    to their old shards, and pending counts are asserted non-negative.
+    Before the fix, ``reshard`` decremented the fleet's pending counters
+    inside the export loop and mutated the topology before any import — a
+    raising ``export_patient`` (e.g. a dead process worker) left counters
+    corrupt and already-exported patients destroyed.  Now every state is
+    collected before any mutation, and an export failure rolls the
+    collected states back to their old shards.
     """
 
     def _loaded_fleet(self, quantized_detector, feature_matrix, n_shards=4):
@@ -564,7 +564,7 @@ class TestReshardAtomicity:
         self, quantized_detector, feature_matrix
     ):
         fleet = self._loaded_fleet(quantized_detector, feature_matrix)
-        before = fleet.local_stats()
+        before = fleet.stats()
         assert before.pending_windows == 24
         ring_before = fleet.ring
         exports = {"n": 0}
@@ -588,8 +588,6 @@ class TestReshardAtomicity:
         # Nothing moved, nothing counted: topology, ring, counters, patients.
         assert fleet.n_shards == 4
         assert fleet.ring is ring_before
-        assert all(count >= 0 for count in fleet._pending_by_shard.values())
-        assert fleet.local_stats().pending_windows == 24
         assert fleet.stats().pending_windows == 24
         for pid in range(24):
             assert fleet.has_patient(pid)
@@ -597,7 +595,7 @@ class TestReshardAtomicity:
         # what a never-resharded fleet would.
         fleet.reshard(2)
         assert fleet.n_shards == 2
-        assert fleet.local_stats().pending_windows == 24
+        assert fleet.stats().pending_windows == 24
         reference = MonitorFleet(quantized_detector, FS, windowing=WINDOWING)
         for pid in range(24):
             reference.push(pid, np.zeros(256), seq=0)
@@ -659,16 +657,14 @@ class TestPendingAgeSurvivesMigration:
         t["now"] += 30.0
         moved = fleet.reshard(2)
         assert pid in moved  # the only pending window migrated to shard 1
-        # Both snapshots still report the full 30 s wait.
-        assert fleet.local_stats().oldest_pending_age_s >= 30.0
+        # The snapshot still reports the full 30 s wait.
         assert fleet.stats().oldest_pending_age_s >= 30.0
         # A 40 s latency bound fires 40 s after arrival, not 40 s after the
-        # migration: 15 more seconds and the swept stats trigger it.
+        # migration: 15 more seconds and the stats trigger it.
         policy = LatencyPolicy(40.0)
         assert not policy.should_drain(fleet.stats())
         t["now"] += 15.0
         assert policy.should_drain(fleet.stats())
-        assert policy.should_drain(fleet.local_stats())
 
     def test_import_patient_backdates_the_pending_clock(
         self, quantized_detector, feature_matrix
@@ -691,13 +687,13 @@ class TestPendingAgeSurvivesMigration:
 
 
 class TestStatsReconcileAfterDrainError:
-    """Satellite bugfix: ``stats()`` and ``local_stats()`` agree on
-    ``chunks_since_drain`` after a partial drain failure.
+    """Satellite bugfix: ``stats()`` keeps ``chunks_since_drain`` after a
+    partial drain failure.
 
     Healthy shards reset their own counters when they drain; fleet-level the
     drain has not happened until every shard succeeds.  The wrapper counter
-    is the authority and now overlays the swept sum, so a controller (or a
-    ``ChunkCountPolicy``) reads the same backlog from either snapshot.
+    is the authority, so a controller (or a ``ChunkCountPolicy``) still
+    reads the backlog.
     """
 
     def test_failed_then_retried_drain_keeps_the_snapshots_agreeing(
@@ -709,7 +705,7 @@ class TestStatsReconcileAfterDrainError:
         fleet.enqueue(
             [_feature_window(pid, 0.0, feature_matrix.X[pid % 4]) for pid in range(8)]
         )
-        assert fleet.local_stats().chunks_since_drain == 8
+        assert fleet.stats().chunks_since_drain == 8
         shard0 = fleet._shards[0]
         original_drain = shard0.drain
         fails = {"n": 0}
@@ -725,14 +721,14 @@ class TestStatsReconcileAfterDrainError:
             fleet.drain()
         assert set(excinfo.value.errors) == {0}
         # Shard 1 drained (and reset its own counter); fleet-level the drain
-        # failed, and both snapshots must say so identically.
-        local, swept = fleet.local_stats(), fleet.stats()
-        assert local.chunks_since_drain == swept.chunks_since_drain == 8
-        assert local.pending_windows == swept.pending_windows > 0
-        # The retry succeeds (shard 0's windows were kept) and both
-        # snapshots reset together.
+        # failed, and the snapshot must say so.
+        stats = fleet.stats()
+        assert stats.chunks_since_drain == 8
+        assert stats.pending_windows > 0
+        # The retry succeeds (shard 0's windows were kept) and the snapshot
+        # resets.
         decisions = fleet.drain()
         assert decisions  # shard 0's kept windows classified on the retry
-        local, swept = fleet.local_stats(), fleet.stats()
-        assert local.chunks_since_drain == swept.chunks_since_drain == 0
-        assert local.pending_windows == swept.pending_windows == 0
+        stats = fleet.stats()
+        assert stats.chunks_since_drain == 0
+        assert stats.pending_windows == 0

@@ -245,20 +245,19 @@ class TestShardedFleetApi:
         assert len(drained) == 4
         assert fleet.stats().pending_windows == 0
 
-    def test_local_stats_track_the_authoritative_sweep(self, quantized_detector, feature_matrix):
-        """Scheduling runs off sweep-free local counters; they must agree
-        with the authoritative per-shard sweep at every step."""
+    def test_stats_track_every_queue_change(self, quantized_detector, feature_matrix):
+        """Scheduling reads ``stats()``; it must follow the shards' queues
+        at every step."""
         fleet = ShardedFleet(quantized_detector, 128.0, n_shards=3)
         for step in range(6):
             fleet.enqueue([_feature_window(step, 0.0, feature_matrix.X[step])])
-            swept, local = fleet.stats(), fleet.local_stats()
-            assert local.pending_windows == swept.pending_windows == step + 1
+            assert fleet.stats().pending_windows == step + 1
         fleet.push(40, np.zeros(64))
-        assert fleet.local_stats().chunks_since_drain == 1
+        assert fleet.stats().chunks_since_drain == 1
         fleet.drain()
-        local = fleet.local_stats()
-        assert local.pending_windows == 0 and local.chunks_since_drain == 0
-        assert local.oldest_pending_age_s == 0.0
+        stats = fleet.stats()
+        assert stats.pending_windows == 0 and stats.chunks_since_drain == 0
+        assert stats.oldest_pending_age_s == 0.0
 
     def test_finish_single_patient_routes_to_its_shard(self, quantized_detector):
         fleet = ShardedFleet(quantized_detector, 128.0, n_shards=2)
@@ -321,7 +320,6 @@ class TestDrainExceptionSafety:
             1 for w in good if fleet.shard_of(w.patient_id) == bad_shard
         )
         assert fleet.stats().pending_windows == poisoned_shard_windows
-        assert fleet.local_stats().pending_windows == poisoned_shard_windows
 
     def test_failed_sharded_drain_keeps_policy_triggers_armed(
         self, quantized_detector, feature_matrix
@@ -342,8 +340,41 @@ class TestDrainExceptionSafety:
         fleet.enqueue([_feature_window(0, 0.0, poison)])
         with pytest.raises(ShardDrainError):
             fleet.maybe_drain()
-        assert fleet.local_stats().chunks_since_drain == 1
+        assert fleet.stats().chunks_since_drain == 1
         assert fleet.should_drain()  # the retry is armed immediately
+
+    def test_partial_drain_failure_ages_only_the_windows_still_queued(
+        self, quantized_detector, feature_matrix
+    ):
+        """After a partial drain failure the oldest-pending age is that of
+        the failed shard's window, not of one a healthy shard already
+        decided — else a latency policy fires on a window already decided."""
+        from repro.serving import ShardDrainError
+
+        t = {"now": 0.0}
+        fleet = ShardedFleet(
+            _PoisonableClassifier(quantized_detector),
+            128.0,
+            n_shards=2,
+            drain_policy=LatencyPolicy(15.0),
+            clock=lambda: t["now"],
+        )
+        pid_a = next(p for p in range(100) if fleet.shard_of(p) == 0)
+        pid_b = next(p for p in range(100) if fleet.shard_of(p) == 1)
+        fleet.enqueue([_feature_window(pid_a, 0.0, feature_matrix.X[0])])
+        t["now"] = 10.0
+        poison = np.array(feature_matrix.X[1])
+        poison[0] = _PoisonableClassifier.POISON
+        fleet.enqueue([_feature_window(pid_b, 0.0, poison)])
+        t["now"] = 20.0
+        with pytest.raises(ShardDrainError) as excinfo:
+            fleet.drain()
+        assert set(excinfo.value.errors) == {1}
+        assert [d.patient_id for d in excinfo.value.decisions] == [pid_a]
+        # Window A was decided at t=20; window B has waited since t=10.
+        assert fleet.stats().pending_windows == 1
+        assert fleet.stats().oldest_pending_age_s == 10.0
+        assert not fleet.should_drain()
 
 
 class _ArmedPoisonClassifier(_PoisonableClassifier):

@@ -18,10 +18,40 @@ Figure 2 of the paper:
    accumulates over support vectors and adds the quantised bias;
 5. the predicted class is the sign of the final accumulator.
 
-Every step uses integer arithmetic only.  A vectorised ``int64`` fast path is
-used whenever the worst-case bit growth provably fits; otherwise the pipeline
-falls back to exact Python integers, so arbitrarily wide reference datapaths
-(e.g. the 64-bit baseline of Figure 7) remain bit-exact.
+Every step uses integer arithmetic only.  Like the datapath, the model has
+one pipeline: ``decision_function``, ``predict`` and ``scores_and_labels``
+each map the one MAC2 accumulator that ``_accumulator`` returns, its value
+times :attr:`QuantizedSVM.output_scale` for the score and its sign for the
+label.  The accumulator comes from one of two implementations, chosen at
+construction from exact worst-case bounds on the stored words:
+
+* the fused batch kernel (``_accumulate_batch``), when every intermediate
+  provably fits int64.  It runs on preallocated per-thread workspaces, with
+  MAC1 in int32 words when those provably fit (numpy SIMD-vectorises int32
+  products) and in int64 words otherwise;
+* exact Python integers (``_accumulate_exact``) otherwise, so arbitrarily
+  wide datapaths stay bit-exact.
+
+Traffic, measured on the perfbench workloads and on
+``examples/design_space_exploration.py`` (widths "D/A" are Dbits/Abits;
+"uniform" is homogeneous scaling with one width throughout):
+
+==========================================================  =================
+Caller                                                      Path
+==========================================================  =================
+9/15 serving detector (both perfbench workloads)            fused, int32 MAC1
+Figure 6 grid (Dbits 7–11, Abits 13–17); uniform 9 and 12   fused, int32 MAC1
+12-bit per-feature words; Figure 7's uniform 16-bit point   fused, int64 MAC1
+≥16-bit per-feature words; uniform ≥24 bits (Figure 7's     exact
+uniform 32-bit point, a 64-bit homogeneous datapath)
+==========================================================  =================
+
+The boundaries move a little with the trained model, because the bounds are
+computed on its stored words.
+
+Setting ``_use_fused = False`` on an instance switches it to the unfused
+``_accumulate_int64`` (or exact) reference that the parity tests and
+benchmarks compare the kernel against.
 """
 
 from __future__ import annotations
@@ -86,34 +116,26 @@ class QuantizationConfig:
 
 
 class _BatchWorkspace:
-    """Preallocated per-thread buffers for the fused batch pipeline.
+    """Preallocated per-thread buffers for the fused batch kernel.
 
-    One workspace holds every intermediate of a whole window batch (the
-    standardised floats, the quantised words, the MAC1/squarer accumulator
-    panel and the MAC2 output vector), so a steady-state serving drain runs
-    the entire quantised pipeline without allocating.  When the detector's
-    MAC1 stage provably fits 32-bit words (``narrow=True``) the workspace
-    additionally carries int32 twins of the quantised words and the MAC1
-    accumulator, because numpy's int32 matrix products vectorise where the
-    int64 ones cannot.
+    One workspace holds every intermediate of a whole window batch: the
+    standardised floats, the quantised words and the MAC1 panel (both in the
+    detector's MAC1 word type), the int64 squarer panel and the MAC2 output
+    vector.  A steady-state serving drain therefore runs the entire
+    quantised pipeline without allocating.
     """
 
-    __slots__ = ("capacity", "scaled", "q", "acc1", "acc2", "q32", "acc1_32")
+    __slots__ = ("capacity", "scaled", "q", "mac1", "acc1", "acc2")
 
     def __init__(
-        self, capacity: int, n_features: int, n_support_vectors: int, narrow: bool
+        self, capacity: int, n_features: int, n_support_vectors: int, mac1_dtype: np.dtype
     ) -> None:
         self.capacity = capacity
         self.scaled = np.empty((capacity, n_features), dtype=np.float64)
-        self.q = np.empty((capacity, n_features), dtype=np.int64)
+        self.q = np.empty((capacity, n_features), dtype=mac1_dtype)
+        self.mac1 = np.empty((capacity, n_support_vectors), dtype=mac1_dtype)
         self.acc1 = np.empty((capacity, n_support_vectors), dtype=np.int64)
         self.acc2 = np.empty(capacity, dtype=np.int64)
-        self.q32: Optional[np.ndarray] = (
-            np.empty((capacity, n_features), dtype=np.int32) if narrow else None
-        )
-        self.acc1_32: Optional[np.ndarray] = (
-            np.empty((capacity, n_support_vectors), dtype=np.int32) if narrow else None
-        )
 
 
 class QuantizedSVM:
@@ -180,33 +202,31 @@ class QuantizedSVM:
         acc1_max, sv_shifted_max = self._worst_case_acc1()
         self._use_fast_path = self._fits_int64(acc1_max)
 
-        # Fused batch pipeline (fast path only): the shifted support-vector
+        # Fused batch kernel (fast path only): the shifted support-vector
         # matrix is precomputed and transposed once so MAC1 over a whole
         # batch is a single contiguous einsum, and per-thread workspaces let
         # repeated serving drains run with zero heap allocations.  Gated on
         # ``feature_bits <= 62`` because wider feature words quantise through
-        # exact Python integers, which the int64 workspaces cannot hold.
+        # exact Python integers, which the integer workspaces cannot hold.
+        self._use_fused = self._use_fast_path and config.feature_bits <= 62
+        # MAC1 word type, fixed here: int32 when the exact worst-case bound
+        # proves every MAC1 intermediate fits a 32-bit word (numpy
+        # SIMD-vectorises int32 products; int64 ones go through a scalar
+        # loop), int64 otherwise.  Either way the arithmetic cannot wrap, so
+        # the kernel is bit-identical to the int64 reference.
+        self._use_narrow_mac1 = self._use_fused and self._fits_int32_mac1(
+            acc1_max, sv_shifted_max
+        )
+        self._mac1_dtype = np.dtype(np.int32) if self._use_narrow_mac1 else np.dtype(np.int64)
         self._tls: threading.local = threading.local()
         self._sv_shifted_t: Optional[np.ndarray] = None
-        self._sv_shifted_t32: Optional[np.ndarray] = None
         self._coeff_i64: Optional[np.ndarray] = None
-        self._use_fused = self._use_fast_path and config.feature_bits <= 62
-        self._use_narrow_mac1 = False
         if self._use_fused:
             sv_shifted = self.sv_int.astype(np.int64) << self.product_shifts.astype(
                 np.int64
             )[None, :]
-            self._sv_shifted_t = np.ascontiguousarray(sv_shifted.T)
+            self._sv_shifted_t = np.ascontiguousarray(sv_shifted.T, dtype=self._mac1_dtype)
             self._coeff_i64 = self.coeff_int.astype(np.int64)
-            # Narrow MAC1: when every MAC1 intermediate provably fits a
-            # 32-bit word, the dominant matrix product runs in int32, which
-            # numpy SIMD-vectorises (int64 products go through a scalar
-            # loop).  Gated on the same exact worst-case bound style as
-            # :meth:`_fits_int64`, so the int32 arithmetic can never wrap
-            # and stays bit-identical to the int64 reference.
-            self._use_narrow_mac1 = self._fits_int32_mac1(acc1_max, sv_shifted_max)
-            if self._use_narrow_mac1:
-                self._sv_shifted_t32 = self._sv_shifted_t.astype(np.int32)
 
     def __getstate__(self) -> Dict[str, Any]:
         # ``threading.local`` does not pickle, so a pickled (or deep-copied)
@@ -221,10 +241,22 @@ class QuantizedSVM:
         self.__dict__.update(state)
         self._tls = threading.local()
 
+    @property
+    def _sv_shifted_t32(self) -> Optional[np.ndarray]:
+        """The MAC1 operand when MAC1 runs in int32 words, else ``None``."""
+        return self._sv_shifted_t if self._use_narrow_mac1 else None
+
     # ------------------------------------------------------------------ API
     def _quantize_features(self, values: np.ndarray) -> np.ndarray:
         """Quantise a feature matrix with the per-column feature scales."""
         return quantize_columns(values, self.feature_scales, self.config.feature_bits)
+
+    def _as_batch(self, X: np.ndarray) -> np.ndarray:
+        """``X`` as a 2-D float batch of ``n_features`` columns (validated)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.n_features:
+            raise ValueError("expected %d features, got %d" % (self.n_features, X.shape[1]))
+        return X
 
     def quantize_input(self, X: np.ndarray) -> np.ndarray:
         """Quantise raw test vectors exactly as the accelerator front-end does.
@@ -234,37 +266,23 @@ class QuantizedSVM:
         accelerator — then each feature is rounded to its fixed-point grid and
         saturated to its ``[-2^{R_j}, 2^{R_j})`` range.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.n_features:
-            raise ValueError("expected %d features, got %d" % (self.n_features, X.shape[1]))
+        X = self._as_batch(X)
         if self.model.scaler is not None:
             X = self.model.scaler.transform(X)
         return self._quantize_features(X)
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Approximate real-valued decision score implied by the integer pipeline."""
-        if self._use_fused:
-            return self._accumulate_fused(X).astype(float) * self.output_scale
-        acc = self._accumulate(self.quantize_input(X))
-        if isinstance(acc, np.ndarray):
-            return acc.astype(float) * self.output_scale
-        return np.asarray([float(v) for v in acc], dtype=float) * self.output_scale
+        return self._accumulator(X).astype(float) * self.output_scale
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Class labels in ``{-1, +1}`` from the integer pipeline (sign bit).
 
-        Accepts a whole batch of windows at once; on the int64 fast path the
-        entire pipeline (quantisation, MAC1, squarer, MAC2 and the final sign)
-        stays vectorised across the batch, which is what the
+        Accepts a whole batch of windows at once; the labels are bit-identical
+        to a per-window loop, which is what the
         :class:`~repro.serving.fleet.MonitorFleet` batched drain relies on.
         """
-        if self._use_fused:
-            acc = self._accumulate_fused(X)
-            return np.where(acc >= 0, 1, -1).astype(int)
-        acc = self._accumulate(self.quantize_input(X))
-        if isinstance(acc, np.ndarray):
-            return np.where(acc >= 0, 1, -1).astype(int)
-        return np.asarray([1 if v >= 0 else -1 for v in acc], dtype=int)
+        return np.where(self._accumulator(X) >= 0, 1, -1).astype(int)
 
     def scores_and_labels(self, X: np.ndarray) -> tuple:
         """Decision scores and class labels from a single pipeline pass.
@@ -273,19 +291,8 @@ class QuantizedSVM:
         :meth:`predict`); the batched serving drain uses this to avoid
         running the pipeline twice per window batch.
         """
-        if self._use_fused:
-            acc_fused = self._accumulate_fused(X)
-            scores = acc_fused.astype(float) * self.output_scale
-            labels = np.where(acc_fused >= 0, 1, -1).astype(int)
-            return scores, labels
-        acc = self._accumulate(self.quantize_input(X))
-        if isinstance(acc, np.ndarray):
-            scores = acc.astype(float) * self.output_scale
-            labels = np.where(acc >= 0, 1, -1).astype(int)
-        else:
-            scores = np.asarray([float(v) for v in acc], dtype=float) * self.output_scale
-            labels = np.asarray([1 if v >= 0 else -1 for v in acc], dtype=int)
-        return scores, labels
+        acc = self._accumulator(X)
+        return acc.astype(float) * self.output_scale, np.where(acc >= 0, 1, -1).astype(int)
 
     def as_backend(
         self,
@@ -384,13 +391,31 @@ class QuantizedSVM:
         sum_max = dot_max + abs(self.kernel_offset_int)
         return max(sv_shifted_max, acc1_max, sum_max) < limit
 
-    def _accumulate(self, q_test: np.ndarray) -> "np.ndarray | list":
-        """Run the integer pipeline for every (already quantised) test row."""
+    def _accumulator(self, X: np.ndarray) -> np.ndarray:
+        """MAC2 accumulator of every row of ``X``: the one pipeline pass.
+
+        Every public entry point maps this array: the score is its value
+        times :attr:`output_scale`, the label its sign.  With the fused
+        kernel on, the result is a *view* into the calling thread's
+        workspace, valid only until that thread's next batch, so callers
+        consume it at once.  With it off, the unfused :meth:`_accumulate`
+        reference runs instead.
+        """
+        if not self._use_fused:
+            return self._accumulate(self.quantize_input(X))
+        X = self._as_batch(X)
+        n = X.shape[0]
+        ws = self._workspace(n)
+        q = self._quantize_batch(X, ws)
+        return self._accumulate_batch(q, ws.mac1[:n], ws.acc1[:n], ws.acc2[:n])
+
+    def _accumulate(self, q_test: np.ndarray) -> np.ndarray:
+        """Unfused integer pipeline for every (already quantised) test row."""
         if self._use_fast_path:
             return self._accumulate_int64(q_test)
         return self._accumulate_exact(q_test)
 
-    # ------------------------------------------------- fused batch pipeline
+    # ------------------------------------------------- fused batch kernel
     def _workspace(self, n: int) -> _BatchWorkspace:
         """Calling thread's workspace, grown (by doubling) to hold ``n`` rows."""
         ws: Optional[_BatchWorkspace] = getattr(self._tls, "ws", None)
@@ -399,18 +424,18 @@ class QuantizedSVM:
             while capacity < n:
                 capacity *= 2
             ws = _BatchWorkspace(
-                capacity, self.n_features, self.n_support_vectors, self._use_narrow_mac1
+                capacity, self.n_features, self.n_support_vectors, self._mac1_dtype
             )
             self._tls.ws = ws
         return ws
 
     def _quantize_batch(self, X: np.ndarray, ws: _BatchWorkspace) -> np.ndarray:
-        """Quantise a validated float batch into the workspace.
+        """Quantise a validated float batch into the workspace's MAC1 words.
 
         Mirrors :meth:`quantize_input` operation for operation — scaler
         standardisation, division by the per-feature scales, round to
-        nearest even, saturation, int64 cast — so the words are bit-identical
-        to the allocating reference path.
+        nearest even, saturation, integer cast — so the words are
+        bit-identical to the allocating reference path.
         """
         n = X.shape[0]
         scaled = ws.scaled[:n]
@@ -422,89 +447,37 @@ class QuantizedSVM:
         np.rint(scaled, out=scaled)
         lo, hi = int_bounds(self.config.feature_bits)
         np.clip(scaled, lo, hi, out=scaled)
-        if self._use_narrow_mac1:
-            assert ws.q32 is not None
-            q = ws.q32[:n]
-        else:
-            q = ws.q[:n]
+        q = ws.q[:n]
         np.copyto(q, scaled, casting="unsafe")
         return q
 
-    def _accumulate_fused(self, X: np.ndarray) -> np.ndarray:
-        """Whole pipeline (quantise → MAC1 → squarer → MAC2) on raw inputs.
-
-        Bit-identical to ``self._accumulate(self.quantize_input(X))`` on the
-        int64 fast path, but every intermediate lives in the calling thread's
-        preallocated workspace.  The returned accumulator is a *view* into
-        that workspace — valid only until the same thread's next batch, which
-        is why only the public entry points (which consume it immediately)
-        call this.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.n_features:
-            raise ValueError("expected %d features, got %d" % (self.n_features, X.shape[1]))
-        n = X.shape[0]
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        ws = self._workspace(n)
-        q = self._quantize_batch(X, ws)
-        if self._use_narrow_mac1:
-            assert ws.acc1_32 is not None
-            return self._accumulate_batch_int32(
-                q, ws.acc1_32[:n], ws.acc1[:n], ws.acc2[:n]
-            )
-        return self._accumulate_batch_int64(q, ws.acc1[:n], ws.acc2[:n])
-
     @int_only
-    def _accumulate_batch_int64(
-        self, q_test: np.ndarray, acc1: np.ndarray, acc2: np.ndarray
+    def _accumulate_batch(
+        self,
+        q_test: np.ndarray,
+        mac1: np.ndarray,
+        acc1: np.ndarray,
+        acc2: np.ndarray,
     ) -> np.ndarray:
         """Integer pipeline over preallocated accumulators (no temporaries).
 
-        Same arithmetic as :meth:`_accumulate_int64` step for step; einsum
-        and matmul on int64 operands are exact, so reassociating the MAC sums
-        cannot change a bit (integer addition is associative, and the
-        overflow check in :meth:`_fits_int64` guarantees no wraparound).
+        Same arithmetic as :meth:`_accumulate_int64` step for step.  MAC1
+        (the dot, its truncation and the kernel offset) runs in the MAC1
+        word type of ``q_test`` and ``mac1``; its words widen into the int64
+        ``acc1`` for the squarer, and MAC2 accumulates into the int64
+        ``acc2``.  einsum
+        and matmul on integer operands are exact, so reassociating the MAC
+        sums cannot change a bit (integer addition is associative), and
+        :meth:`_fits_int32_mac1` and :meth:`_fits_int64` rule out any
+        wraparound.
         """
         sv_shifted_t = self._sv_shifted_t
         coeff = self._coeff_i64
         assert sv_shifted_t is not None and coeff is not None
-        np.einsum("ij,jk->ik", q_test, sv_shifted_t, out=acc1)
-        np.right_shift(acc1, self.config.truncate_after_dot, out=acc1)
-        np.add(acc1, self.kernel_offset_int, out=acc1)
-        np.multiply(acc1, acc1, out=acc1)
-        np.right_shift(acc1, self.config.truncate_after_square, out=acc1)
-        np.matmul(acc1, coeff, out=acc2)
-        np.add(acc2, self.bias_int, out=acc2)
-        return acc2
-
-    @int_only
-    def _accumulate_batch_int32(
-        self,
-        q_test: np.ndarray,
-        acc1_32: np.ndarray,
-        acc1: np.ndarray,
-        acc2: np.ndarray,
-    ) -> np.ndarray:
-        """Integer pipeline with the MAC1 stage in 32-bit words.
-
-        Identical arithmetic to :meth:`_accumulate_batch_int64` — the
-        :meth:`_fits_int32_mac1` gate proves every MAC1 intermediate (the
-        quantised words, the shifted support-vector words, any partial sum of
-        the dot, the truncated dot plus the kernel offset) fits a signed
-        32-bit word, so the narrow stage cannot wrap and its words widen into
-        the int64 accumulator exactly.  The squarer and the MAC2 pass stay in
-        int64, covered by :meth:`_fits_int64`.  The point of the narrowing is
-        speed: int32 matrix products go through numpy's SIMD inner loops,
-        roughly halving the whole kernel's time per window.
-        """
-        sv_shifted_t32 = self._sv_shifted_t32
-        coeff = self._coeff_i64
-        assert sv_shifted_t32 is not None and coeff is not None
-        np.einsum("ij,jk->ik", q_test, sv_shifted_t32, out=acc1_32)
-        np.right_shift(acc1_32, self.config.truncate_after_dot, out=acc1_32)
-        np.add(acc1_32, np.int32(self.kernel_offset_int), out=acc1_32)
-        np.copyto(acc1, acc1_32)
+        np.einsum("ij,jk->ik", q_test, sv_shifted_t, out=mac1)
+        np.right_shift(mac1, self.config.truncate_after_dot, out=mac1)
+        np.add(mac1, self.kernel_offset_int, out=mac1)
+        np.copyto(acc1, mac1)
         np.multiply(acc1, acc1, out=acc1)
         np.right_shift(acc1, self.config.truncate_after_square, out=acc1)
         np.matmul(acc1, coeff, out=acc2)
@@ -525,8 +498,11 @@ class QuantizedSVM:
         return acc2 + np.int64(self.bias_int)
 
     @int_only
-    def _accumulate_exact(self, q_test: np.ndarray) -> list:
-        """Exact arbitrary-precision path (used by very wide datapaths)."""
+    def _accumulate_exact(self, q_test: np.ndarray) -> np.ndarray:
+        """Exact arbitrary-precision path (used by very wide datapaths).
+
+        Returns an object array of exact Python integers.
+        """
         trunc1 = self.config.truncate_after_dot
         trunc2 = self.config.truncate_after_square
         shifts = [int(s) for s in self.product_shifts]
@@ -545,4 +521,4 @@ class QuantizedSVM:
                 kernel_int = (summed * summed) >> trunc2
                 acc2 = acc2 + coeff * kernel_int
             results.append(acc2 + self.bias_int)
-        return results
+        return np.array(results, dtype=object)

@@ -223,14 +223,13 @@ class MonitorFleet:
         return len(self._pending)
 
     def add_patient(self, patient_id: int) -> StreamingMonitor:
-        """Register a patient; returns their (classifier-less) monitor."""
+        """Register a patient; returns their monitor."""
         patient_id = int(patient_id)
         if patient_id in self._monitors:
             raise KeyError("patient %d is already monitored" % patient_id)
         monitor = StreamingMonitor(
             patient_id,
             self.fs,
-            classifier=None,
             windowing=self.windowing,
             detector_params=self.detector_params,
             lossy=self.lossy,

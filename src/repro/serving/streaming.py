@@ -5,16 +5,16 @@ incremental windower and the per-window feature extractor.  It deliberately
 *separates* feature extraction from classification: :meth:`StreamingMonitor.push`
 returns :class:`PendingWindow` objects (feature vectors awaiting a verdict) so
 that a :class:`~repro.serving.fleet.MonitorFleet` can pool pending windows from
-many patients into one batched SVM call.  For standalone use,
-:meth:`StreamingMonitor.process` classifies each batch of pending windows
-immediately with the monitor's own classifier.
+many patients into one batched SVM call.  A monitor never classifies: a
+window gets its verdict from a fleet drain, or from an explicit
+:func:`classify_windows` call on the windows :meth:`StreamingMonitor.push`
+returned.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from repro.dsp.peaks import PanTompkinsParams, PeakDetectorState, StreamingPeakD
 from repro.features.extractor import FeatureExtractor
 from repro.serving.wire import SequenceTracker
 from repro.signals.windows import StreamingWindower, WindowerState, WindowingParams
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+    from repro.serving.registry import InferenceBackend
 
 __all__ = [
     "MONITOR_STATE_VERSION",
@@ -174,57 +177,50 @@ class MonitorState:
         )
 
 
-def classify_windows(classifier, pending: Sequence[PendingWindow]) -> List[WindowDecision]:
-    """Classify a batch of pending windows with one vectorised SVM call.
+def classify_windows(
+    backend: InferenceBackend, pending: Sequence[PendingWindow]
+) -> List[WindowDecision]:
+    """Classify a batch of pending windows with one vectorised call.
 
-    ``classifier`` is anything with the ``decision_function`` / ``predict``
-    pair of :class:`~repro.svm.model.SVMModel` and
-    :class:`~repro.quant.quantized_model.QuantizedSVM`.  All usable windows
-    are stacked into a single feature matrix; labels come from one batched
-    ``predict`` call, so on the fixed-point model they are bit-identical to a
-    per-window loop.  Unusable windows yield ``alarm=False`` decisions.
+    ``backend`` is an :class:`~repro.serving.registry.InferenceBackend`: all
+    usable windows are stacked into a single feature matrix and scored by
+    one ``scores_and_labels`` call, so on the fixed-point model the labels
+    are bit-identical to a per-window loop.  Unusable windows yield
+    ``alarm=False`` decisions with no score.  Decisions come back in the
+    order of ``pending``.
     """
-    usable = [i for i, window in enumerate(pending) if window.usable]
-    decisions: List[Optional[WindowDecision]] = [None] * len(pending)
+    usable = [window for window in pending if window.usable]
     if usable:
         # One preallocated batch matrix filled row by row (the feature
         # vectors are scattered across PendingWindow objects, so a copy is
         # unavoidable — but np.vstack would build the same copy *plus* a
         # temporary tuple of row views).
-        first = np.asarray(pending[usable[0]].features)
+        first = np.asarray(usable[0].features)
         X = np.empty((len(usable), first.shape[0]), dtype=first.dtype)
-        for row, i in enumerate(usable):
-            X[row] = pending[i].features
-        if hasattr(classifier, "scores_and_labels"):
-            scores, labels = classifier.scores_and_labels(X)
-        else:
-            scores = np.asarray(classifier.decision_function(X), dtype=float)
-            labels = np.asarray(classifier.predict(X), dtype=int)
-        scores = np.asarray(scores, dtype=float)
-        labels = np.asarray(labels, dtype=int)
-        for row, i in enumerate(usable):
-            window = pending[i]
-            decisions[i] = WindowDecision(
+        for row, window in enumerate(usable):
+            X[row] = window.features
+        scores, labels = backend.scores_and_labels(X)
+    decisions: List[WindowDecision] = []
+    row = 0
+    for window in pending:
+        score: Optional[float] = None
+        alarm = False
+        if window.usable:
+            score = float(scores[row])
+            alarm = bool(labels[row] == 1)
+            row += 1
+        decisions.append(
+            WindowDecision(
                 patient_id=window.patient_id,
                 start_s=window.start_s,
                 end_s=window.end_s,
                 n_beats=window.n_beats,
-                usable=True,
-                score=float(scores[row]),
-                alarm=bool(labels[row] == 1),
+                usable=window.usable,
+                score=score,
+                alarm=alarm,
             )
-    for i, window in enumerate(pending):
-        if decisions[i] is None:
-            decisions[i] = WindowDecision(
-                patient_id=window.patient_id,
-                start_s=window.start_s,
-                end_s=window.end_s,
-                n_beats=window.n_beats,
-                usable=False,
-                score=None,
-                alarm=False,
-            )
-    return [d for d in decisions if d is not None]
+        )
+    return decisions
 
 
 class StreamingMonitor:
@@ -236,10 +232,6 @@ class StreamingMonitor:
         Identifier attached to every emitted window.
     fs:
         Sampling frequency of the incoming ECG chunks (Hz).
-    classifier:
-        Optional :class:`~repro.svm.model.SVMModel` or
-        :class:`~repro.quant.quantized_model.QuantizedSVM`; only needed for
-        the standalone :meth:`process` path (a fleet supplies its own).
     windowing:
         Window grid configuration (three-minute non-overlapping by default).
     detector_params:
@@ -254,27 +246,23 @@ class StreamingMonitor:
     """
 
     #: Not captured by :meth:`snapshot`, and pinned so by the
-    #: ``snapshot-completeness`` rule of :mod:`repro.analysis`: the classifier
-    #: is fleet-owned (a migrated patient is classified by the *destination*
-    #: fleet's registry), the feature extractor is stateless (a revived
-    #: monitor builds a fresh one that computes every window identically)
-    #: and ``lossy`` is transport configuration owned by the fleet (a whole
-    #: fleet is lossy or strict, never patient by patient), reapplied by
-    #: ``from_snapshot``.
-    _SNAPSHOT_EXCLUDE = ("classifier", "_extractor", "lossy")
+    #: ``snapshot-completeness`` rule of :mod:`repro.analysis`: the feature
+    #: extractor is stateless (a revived monitor builds a fresh one that
+    #: computes every window identically) and ``lossy`` is transport
+    #: configuration owned by the fleet (a whole fleet is lossy or strict,
+    #: never patient by patient), reapplied by ``from_snapshot``.
+    _SNAPSHOT_EXCLUDE = ("_extractor", "lossy")
 
     def __init__(
         self,
         patient_id: int,
         fs: float,
-        classifier=None,
         windowing: WindowingParams | None = None,
         detector_params: PanTompkinsParams | None = None,
         lossy: bool = False,
     ) -> None:
         self.patient_id = int(patient_id)
         self.fs = float(fs)
-        self.classifier = classifier
         self.lossy = bool(lossy)
         self._detector = StreamingPeakDetector(self.fs, detector_params)
         self._windower = StreamingWindower(windowing)
@@ -342,7 +330,6 @@ class StreamingMonitor:
     def from_snapshot(
         cls,
         state: MonitorState,
-        classifier=None,
         lossy: bool = False,
     ) -> "StreamingMonitor":
         """Revive a monitor from a :class:`MonitorState`, mid-stream.
@@ -365,7 +352,6 @@ class StreamingMonitor:
         monitor = cls(
             state.patient_id,
             state.fs,
-            classifier=classifier,
             windowing=state.windower.params,
             detector_params=state.detector.params,
             lossy=lossy,
@@ -478,18 +464,6 @@ class StreamingMonitor:
         completed = self._windower.push(times, amplitudes, now_s=self._detector.time_seen_s)
         completed += self._windower.flush()
         return self._featurize(completed)
-
-    def process(self, chunk: np.ndarray) -> List[WindowDecision]:
-        """Push a chunk and classify the completed windows immediately."""
-        if self.classifier is None:
-            raise ValueError("this monitor has no classifier; use push() with a fleet")
-        return classify_windows(self.classifier, self.push(chunk))
-
-    def finish_and_classify(self) -> List[WindowDecision]:
-        """Flush the stream and classify the remaining windows."""
-        if self.classifier is None:
-            raise ValueError("this monitor has no classifier; use finish() with a fleet")
-        return classify_windows(self.classifier, self.finish())
 
     # ------------------------------------------------------------- internals
     def _featurize(self, windows) -> List[PendingWindow]:

@@ -164,22 +164,17 @@ class TestClassifyWindows:
 class TestStreamingMonitor:
     def test_monitor_emits_expected_window_grid(self, fleet_streams, quantized_detector):
         patient_id, chunks = next(iter(fleet_streams.items()))
-        monitor = StreamingMonitor(patient_id, FS, classifier=quantized_detector)
+        monitor = StreamingMonitor(patient_id, FS)
         decisions = []
         for chunk in chunks:
-            decisions.extend(monitor.process(chunk))
-        decisions.extend(monitor.finish_and_classify())
+            decisions.extend(classify_windows(quantized_detector, monitor.push(chunk)))
+        decisions.extend(classify_windows(quantized_detector, monitor.finish()))
         # 1000 s of signal -> five complete 180 s windows.
         assert [d.start_s for d in decisions] == [0.0, 180.0, 360.0, 540.0, 720.0]
         assert all(d.end_s - d.start_s == 180.0 for d in decisions)
         assert all(d.usable for d in decisions)
         assert all(d.score is not None for d in decisions)
         assert monitor.n_windows == 5 and monitor.n_usable_windows == 5
-
-    def test_monitor_without_classifier_rejects_process(self):
-        monitor = StreamingMonitor(0, FS)
-        with pytest.raises(ValueError):
-            monitor.process(np.zeros(100))
 
 
 class TestMonitorFleetParity:

@@ -77,12 +77,6 @@ class QuantizedSVMBackend:
     def _project(self, X: np.ndarray) -> np.ndarray:
         return project_features(X, self.feature_indices)
 
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        return self.quantized.decision_function(self._project(X))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.quantized.predict(self._project(X))
-
     def scores_and_labels(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return self.quantized.scores_and_labels(self._project(X))
 

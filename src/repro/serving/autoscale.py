@@ -7,10 +7,9 @@ operator had to watch queue depths and call it by hand.
 :class:`AutoscaleController` closes the loop.  It samples the two queue
 snapshots the serving stack already keeps —
 :meth:`ShardedFleet.stats <repro.serving.sharding.ShardedFleet.stats>`
-(pending windows and oldest-pending age, read from the shards' queues,
-and the patient count) and :class:`~repro.serving.ingest.GatewayStats` (queued
-frames, shed/reject counters) — and decides when the fleet should grow or
-shrink by one shard.
+(pending windows and oldest-pending age, read from the shards' queues) and
+:class:`~repro.serving.ingest.GatewayStats` (queued frames, shed/reject
+counters) — and decides when the fleet should grow or shrink by one shard.
 
 The control law is deliberately conservative, because a reshard is not free
 (moved patients pause for the quiesce window) and a controller that thrashes
@@ -37,7 +36,12 @@ is worse than no controller:
   <repro.serving.sharding.ShardedFleet.preview_reshard>`; if more than
   ``max_move_fraction`` of the fleet's patients would move, the action is
   vetoed unless the situation is an *emergency* (latency bound breached, or
-  frames being shed) — latency relief then outranks migration cost.
+  frames being shed) — latency relief then outranks migration cost.  Both
+  the movers and the patient count
+  (:attr:`ShardedFleet.n_patients <repro.serving.sharding.ShardedFleet.n_patients>`)
+  are read from the shards' members — the patients a shard holds a monitor
+  or a queued window of — and only once a plan reaches the veto, never on
+  an in-band or cooldown tick.
 * **Gap-aware reset** — a controller that was not sampled for
   ``gap_reset_s`` (suspended process, paused soak clock) resets its
   detectors instead of treating the gap as one giant EWMA step or letting a
@@ -384,7 +388,7 @@ class AutoscaleController:
         )
         if in_cooldown:
             return hold("cooldown")
-        n_patients = max(1, self.fleet.stats().n_patients)
+        n_patients = max(1, self.fleet.n_patients)
         if want_up:
             if n >= cfg.max_shards:
                 return hold("at-max-shards")

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Set
 
 import numpy as np
 
@@ -215,7 +215,8 @@ class MonitorFleet:
 
     @property
     def n_patients(self) -> int:
-        return len(self._monitors)
+        """Patients this fleet holds a monitor or a queued window of."""
+        return len(self._members())
 
     @property
     def pending_count(self) -> int:
@@ -244,6 +245,13 @@ class MonitorFleet:
         return int(patient_id) in self._monitors
 
     # ------------------------------------------------------------- migration
+    def _members(self) -> Set[int]:
+        """Patients this fleet holds a monitor or a queued window of — exactly
+        the ones :meth:`snapshot_patient` and :meth:`export_patient` accept."""
+        members = set(self._monitors)
+        members.update(int(window.patient_id) for window in self._pending)
+        return members
+
     def snapshot_patient(self, patient_id: int) -> MonitorState:
         """Non-destructively capture one patient's full serving state.
 
@@ -443,7 +451,6 @@ class MonitorFleet:
             pending_windows=len(self._pending),
             chunks_since_drain=self._chunks_since_drain,
             oldest_pending_age_s=oldest_age,
-            n_patients=len(self._monitors),
         )
 
     def gap_stats(self) -> GapStats:

@@ -185,17 +185,12 @@ class GatewayStats:
 class _PatientQueue:
     """One patient's bounded FIFO of decoded chunks plus its space signal."""
 
-    __slots__ = ("items", "space", "stale")
+    __slots__ = ("items", "space")
 
     def __init__(self) -> None:
         self.items: Deque[EcgChunk] = deque()
         self.space = asyncio.Event()
         self.space.set()
-        #: Arrival-order markers in the gateway's global deque that no longer
-        #: have a frame behind them (their frame was shed or forwarded).  The
-        #: pump consumes this debt marker-by-marker; the compactor uses it to
-        #: rebuild the order deque without scanning every queue.
-        self.stale = 0
 
 
 class IngestGateway:
@@ -228,18 +223,6 @@ class IngestGateway:
         in-flight bytes and hit EOF before force-closing them.  A push
         protocol has no close handshake, so an idle-but-open node link must
         not be allowed to park shutdown forever.
-    enforce_seq:
-        Whether delivered frames carry their wire sequence numbers into the
-        fleet's strict per-patient policing.  Defaults to ``True`` under
-        ``"block"`` (the gateway is lossless, so a gap really is a transport
-        fault) and ``False`` under the lossy policies (a shed frame is a
-        *policy decision* — the stream must keep flowing across the gap,
-        which strict sequencing would forbid).  With ``lossy=True`` the
-        default flips back to ``True``: sequence numbers are exactly how the
-        fleet's monitors *detect* gaps, and their datagram mode absorbs them
-        instead of rejecting the stream — so a lossy gateway rejects
-        ``enforce_seq=False`` (``ValueError``).  Otherwise, override to force
-        either.
     lossy:
         Datagram-transport mode, end to end.  Requires a fleet constructed
         with ``lossy=True`` (the monitors read ``seq`` as the chunk's
@@ -261,6 +244,18 @@ class IngestGateway:
         through the gateway's own quiescing :meth:`reshard` — so autonomous
         topology changes get exactly the zero-frame-loss treatment manual
         ones do.  Requires a fleet that supports live resharding.
+
+    Attributes
+    ----------
+    enforce_seq:
+        Whether delivered frames carry their wire sequence numbers into the
+        fleet's per-patient policing, derived as ``lossy or backpressure ==
+        "block"``.  A ``"block"`` gateway is lossless, so a gap really is a
+        transport fault.  Under the lossy policies a shed frame is a *policy
+        decision*: the stream must keep flowing across the gap, which strict
+        sequencing would forbid.  With ``lossy=True`` the sequence numbers are
+        how the fleet's monitors *detect* gaps, and their datagram mode
+        absorbs them instead of rejecting the stream.
     """
 
     def __init__(
@@ -272,7 +267,6 @@ class IngestGateway:
         drain_policy: Optional[DrainPolicy] = None,
         poll_interval_s: float = 0.05,
         close_grace_s: float = 1.0,
-        enforce_seq: Optional[bool] = None,
         clock: Callable[[], float] = time.monotonic,
         autoscaler: Optional["AutoscaleController"] = None,
         lossy: bool = False,
@@ -294,14 +288,7 @@ class IngestGateway:
         self.fleet = fleet
         self.queue_depth = int(queue_depth)
         self.backpressure = backpressure
-        if enforce_seq is None:
-            enforce_seq = self.lossy or backpressure == "block"
-        if self.lossy and not enforce_seq:
-            raise ValueError(
-                "a lossy gateway must deliver seq numbers: lossy monitors read"
-                " them as sample offsets to detect gaps"
-            )
-        self.enforce_seq = bool(enforce_seq)
+        self.enforce_seq = self.lossy or backpressure == "block"
         self._gateway_policy = drain_policy
         self._previous_policy: Optional[DrainPolicy] = None
         self._policy_installed = False
@@ -338,11 +325,6 @@ class IngestGateway:
         self._quiesced: set = set()
         self._frames_forwarded = 0
         self._frames_gap_dropped = 0
-        #: Arrival-order markers whose frame was shed or forwarded, gateway
-        #: wide (the sum of every queue's ``stale`` debt).  Bounded by
-        #: :meth:`_compact_order`, so a long lossy run cannot grow the order
-        #: deque without bound.
-        self._stale_markers = 0
         self._reshards = 0
         if autoscaler is not None and (
             not hasattr(fleet, "preview_reshard") or not hasattr(fleet, "reshard")
@@ -527,11 +509,6 @@ class IngestGateway:
                 queue.items.popleft()
                 self._queued -= 1
                 self._frames_shed += 1
-                # The shed frame's arrival-order marker is now stale; record
-                # the debt so the pump can consume it and the compactor can
-                # rebuild the order deque without scanning every queue.
-                queue.stale += 1
-                self._stale_markers += 1
             elif self.backpressure == "reject":
                 self._frames_received += 1
                 self._frames_rejected += 1
@@ -678,10 +655,6 @@ class IngestGateway:
         queue.items.clear()
         self._queued -= len(taken)
         self._frames_forwarded += len(taken)
-        # Every forwarded frame leaves a stale arrival-order marker behind,
-        # exactly like a shed one.
-        queue.stale += len(taken)
-        self._stale_markers += len(taken)
         self._maybe_compact_order()
         queue.space.set()
         return taken
@@ -759,7 +732,9 @@ class IngestGateway:
         — so delivery order is untouched.  Synchronous, and only called from
         synchronous sections, so it can never race the pump mid-delivery.
         """
-        if self._stale_markers <= 64 or self._stale_markers <= self._queued:
+        # Every marker belongs to a queued frame or is stale.
+        stale = len(self._order) - self._queued
+        if stale <= 64 or stale <= self._queued:
             return
         live = {pid: len(queue.items) for pid, queue in self._queues.items()}
         compacted: Deque[int] = deque()
@@ -769,9 +744,6 @@ class IngestGateway:
                 compacted.append(pid)
                 live[pid] = remaining - 1
         self._order = compacted
-        for queue in self._queues.values():
-            queue.stale = 0
-        self._stale_markers = 0
 
     def _deliver_one(self) -> bool:
         """Move the oldest deliverable queued frame into the fleet.
@@ -792,12 +764,7 @@ class IngestGateway:
                     continue
                 queue = self._queues[patient_id]
                 if not queue.items:
-                    # Stale marker left behind by a shed or forwarded frame:
-                    # consume its recorded debt and move on.
-                    if queue.stale:
-                        queue.stale -= 1
-                        self._stale_markers -= 1
-                    continue
+                    continue  # stale marker of a shed or forwarded frame
                 chunk = queue.items.popleft()
                 self._queued -= 1
                 if len(queue.items) < self.queue_depth:

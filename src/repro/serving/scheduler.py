@@ -51,10 +51,6 @@ class DrainStats:
     #: Wall-clock age of the oldest queued window (0.0 when the queue is
     #: empty), measured on the fleet's monotonic clock.
     oldest_pending_age_s: float
-    #: Patients the fleet serves.  A single fleet counts its registered
-    #: monitors; a sharded fleet counts every patient it has routed,
-    #: replay-only ones (known only through ``enqueue``) included.
-    n_patients: int
 
 
 class DrainPolicy(ABC):

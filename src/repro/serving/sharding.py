@@ -344,11 +344,13 @@ class ShardedFleet:
         # them wherever the ring places them (including across reshards).
         # Every shard shares this very object.
         self._shards = [self._make_shard() for _ in range(self.n_shards)]
+        # Memo of ``ring.shard_of`` for the patients a shard holds a monitor
+        # of: filled where a monitor is created, cleared by a reshard, so it
+        # never outgrows the monitors.
         self._shard_of: Dict[int, int] = {}
         # Chunks since the last fully-successful fleet-wide drain (see
         # :meth:`stats`); the shards' own counters cannot say that.
         self._chunks_since_drain = 0
-        self._known_patients: set = set()
 
     def _make_shard(self) -> MonitorFleet:
         """One empty in-process shard fleet with this fleet's configuration."""
@@ -386,19 +388,17 @@ class ShardedFleet:
 
     # ------------------------------------------------------------ membership
     def shard_of(self, patient_id: int) -> int:
-        """Shard index the ring assigns to ``patient_id`` (cached)."""
+        """Shard index the ring assigns to ``patient_id``."""
         patient_id = int(patient_id)
         shard = self._shard_of.get(patient_id)
-        if shard is None:
-            shard = self.ring.shard_of(patient_id)
-            self._shard_of[patient_id] = shard
-        return shard
+        return self.ring.shard_of(patient_id) if shard is None else shard
 
     def add_patient(self, patient_id: int) -> int:
         """Register a patient on their shard; returns the shard index."""
+        patient_id = int(patient_id)
         shard = self.shard_of(patient_id)
-        self._shards[shard].add_patient(int(patient_id))
-        self._known_patients.add(int(patient_id))
+        self._shards[shard].add_patient(patient_id)
+        self._shard_of[patient_id] = shard
         return shard
 
     def has_patient(self, patient_id: int) -> bool:
@@ -410,7 +410,13 @@ class ShardedFleet:
 
     @property
     def n_patients(self) -> int:
-        return len(self.patient_ids)
+        """Patients a shard holds a monitor or a queued window of."""
+        return len(self._members())
+
+    def _members(self) -> List[int]:
+        """Every patient a shard holds a monitor or a queued window of, sorted
+        — the fleet's only record of whom it serves."""
+        return sorted(set().union(*(shard._members() for shard in self._shards)))
 
     @property
     def pending_count(self) -> int:
@@ -426,9 +432,11 @@ class ShardedFleet:
         monitor exactly as on a single fleet.
         """
         patient_id = int(patient_id)
-        shard = self.shard_of(patient_id)
+        cached = self._shard_of.get(patient_id)
+        shard = self.ring.shard_of(patient_id) if cached is None else cached
         pending = self._shards[shard].push(patient_id, chunk, seq)
-        self._known_patients.add(patient_id)
+        if cached is None:  # the push succeeded, so the shard holds a monitor
+            self._shard_of[patient_id] = shard
         self._chunks_since_drain += 1
         return pending
 
@@ -458,9 +466,6 @@ class ShardedFleet:
             by_shard.setdefault(shard, []).append(window)
         for shard, group in by_shard.items():
             self._shards[shard].enqueue(group)
-            # Queued windows make a patient migratable state: a reshard must
-            # know to carry them along even if no chunk ever arrived.
-            self._known_patients.update(int(w.patient_id) for w in group)
         return self.pending_count
 
     def finish(self, patient_id: int | None = None) -> int:
@@ -498,7 +503,7 @@ class ShardedFleet:
         ring = self._target_ring(n_shards, weights)
         if ring is None:
             return {}
-        return self.ring.movers(ring, sorted(self._known_patients))
+        return self.ring.movers(ring, self._members())
 
     def reshard(
         self, n_shards: int, weights: Optional[Sequence[float]] = None
@@ -542,11 +547,9 @@ class ShardedFleet:
         if new_ring is None:
             return {}
         n_shards = new_ring.n_shards
-        moved = self.ring.movers(new_ring, sorted(self._known_patients))
+        moved = self.ring.movers(new_ring, self._members())
         # 1. Detach every mover while all old shards are still up, touching
-        #    *no* fleet state until every export has succeeded.  A patient
-        #    known only through since-drained enqueued windows has no state
-        #    to move: the ring reassigns only their routing.  Every window
+        #    *no* fleet state until every export has succeeded.  Every window
         #    of a removed shard belongs to a mover, so nothing is left behind.
         detached = migration.detach(
             ((pid, old, new) for pid, (old, new) in moved.items()),
@@ -561,7 +564,7 @@ class ShardedFleet:
         self._shards.extend(self._make_shard() for _ in range(n_shards - len(self._shards)))
         self.ring = new_ring
         self.n_shards = n_shards
-        self._shard_of = {pid: shard for pid, (_, shard) in moved.items()}
+        self._shard_of = {}
         # 3. Attach the migrated states to their new owners.
         migration.attach(detached, self._import_patient)
         return moved
@@ -601,9 +604,8 @@ class ShardedFleet:
         drain has not happened — a ``ChunkCountPolicy`` must keep
         re-triggering until the failed shard's windows are retried.
 
-        ``n_patients`` counts every patient ever routed here — pushed,
-        added, or known only through :meth:`enqueue` — the set
-        :meth:`preview_reshard` draws its movers from.
+        The patient count is not part of the snapshot: :attr:`n_patients`
+        reads it from the shards when a caller needs it.
         """
         pending = 0
         oldest_t: Optional[float] = None
@@ -619,7 +621,7 @@ class ShardedFleet:
         age = 0.0 if oldest_t is None else max(0.0, self._clock() - oldest_t)
         # Positional: the keyword form of this frozen dataclass costs ~40%
         # more per call, and a poll runs after every delivered chunk.
-        return DrainStats(pending, self._chunks_since_drain, age, len(self._known_patients))
+        return DrainStats(pending, self._chunks_since_drain, age)
 
     def gap_stats(self) -> GapStats:
         """Lossy-mode gap accounting summed over every shard's monitors."""

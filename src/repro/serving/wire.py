@@ -675,10 +675,10 @@ class SequenceTracker:
     **Datagram mode**: lossy transports cannot retransmit, so the tracker
     also offers an explicit, forward-only recovery API.  :meth:`skip_to`
     declares everything before ``seq`` lost and moves the tracker there (the
-    caller resets whatever state spanned the gap first);
-    :meth:`accept_datagram` bundles the common case — stale datagrams still
-    raise :class:`DuplicateChunkError`, a datagram ahead of the stream skips
-    the tracker forward and reports how many units were lost.  In datagram
+    caller resets whatever state spanned the gap first), and
+    :meth:`check_datagram` classifies a datagram without moving anything —
+    a stale one still raises :class:`DuplicateChunkError`, one ahead of the
+    stream reports how many units were lost.  In datagram
     mode ``seq`` carries the stream *offset* of the payload's first unit
     (e.g. the absolute sample index), and acceptance advances by the
     payload's ``span``, so a gap's size is known exactly from the jump.
@@ -789,18 +789,3 @@ class SequenceTracker:
                 expected=self._expected,
             )
         return seq - self._expected
-
-    def accept_datagram(self, seq: int, span: int) -> int:
-        """Accept a datagram at stream offset ``seq`` covering ``span`` units.
-
-        The DATAGRAM-tolerant accept mode: a stale datagram raises
-        :class:`DuplicateChunkError`; one ahead of the stream skips the
-        tracker to ``seq`` first.  Returns how many units were skipped (0
-        for in-order delivery).  Never raises ``OutOfOrderChunkError`` —
-        on a lossy transport a jump ahead *is* the loss signal.
-        """
-        skipped = self.check_datagram(seq)
-        if skipped:
-            self.skip_to(seq)
-        self.validate(seq, span=span)
-        return skipped

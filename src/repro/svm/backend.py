@@ -98,12 +98,6 @@ class FloatSVMBackend:
     def _project(self, X: np.ndarray) -> np.ndarray:
         return project_features(X, self.feature_indices)
 
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        return self.model.decision_function(self._project(X))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.model.predict(self._project(X))
-
     def scores_and_labels(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return self.model.scores_and_labels(self._project(X))
 

@@ -12,7 +12,7 @@ explicit (``frames_gap_dropped``, ``gaps_detected``,
 
 Alongside the parity fuzz this file pins the seams the lossy mode exposed:
 the :class:`~repro.serving.wire.SequenceTracker` recovery API
-(``check`` / ``skip_to`` / ``check_datagram`` / ``accept_datagram``),
+(``check`` / ``skip_to`` / ``check_datagram``),
 commit-on-success tracker advancement in ``StreamingMonitor.push`` (a push
 that failed before absorbing samples can be retried without being misread
 as a duplicate), arrival-order marker compaction under sustained
@@ -97,19 +97,10 @@ class TestTrackerRecovery:
         with pytest.raises(DuplicateChunkError, match="stale datagram"):
             tracker.check_datagram(50)
 
-    def test_accept_datagram_bundles_skip_and_validate(self):
-        tracker = SequenceTracker()
-        assert tracker.accept_datagram(100, span=50) == 100
-        assert tracker.expected == 150
-        assert tracker.accept_datagram(150, span=10) == 0
-        assert tracker.expected == 160
-        with pytest.raises(DuplicateChunkError):
-            tracker.accept_datagram(100, span=5)
-        assert tracker.expected == 160
-
     def test_skipped_position_survives_snapshot(self):
         tracker = SequenceTracker()
-        tracker.accept_datagram(1000, span=64)
+        tracker.skip_to(1000)
+        tracker.validate(1000, span=64)
         revived = SequenceTracker.from_snapshot(tracker.snapshot())
         assert revived.expected == 1064
         with pytest.raises(DuplicateChunkError):
@@ -411,11 +402,6 @@ class TestLossyPushRequiresSeq:
         assert fleet.gap_stats().gaps == 0
         assert fleet.stats().chunks_since_drain == 2
 
-    def test_lossy_gateway_cannot_drop_seqs(self, quantized_detector):
-        fleet = MonitorFleet(quantized_detector, FS, windowing=WINDOWING, lossy=True)
-        with pytest.raises(ValueError, match="seq"):
-            IngestGateway(fleet, lossy=True, enforce_seq=False)
-
 
 # ---------------------------------------------------------------------------
 # Gateway: marker compaction, ledger-at-every-await, loss-pattern fuzz
@@ -494,9 +480,8 @@ class TestShedMarkerCompaction:
                 await gateway.submit_chunk(EcgChunk(pid, offsets[pid], FS, chunk))
                 offsets[pid] += 32
                 peak = max(peak, len(gateway._order))
-                # The structural identity the compactor maintains:
-                assert len(gateway._order) == gateway._queued + gateway._stale_markers
-                assert gateway._stale_markers <= max(64, gateway._queued) + 1
+                stale = len(gateway._order) - gateway._queued
+                assert stale <= max(64, gateway._queued) + 1
             return peak
 
         peak = asyncio.run(soak())
@@ -506,7 +491,6 @@ class TestShedMarkerCompaction:
         assert stats.fully_accounted
         # Bounded: far below the 3000 markers an uncompacted deque would hold.
         assert peak <= stats.queued_frames + 66
-        assert sum(q.stale for q in gateway._queues.values()) == gateway._stale_markers
 
     def test_soak_then_drain_delivers_the_survivors(self, quantized_detector):
         gateway = _lossy_gateway(quantized_detector, queue_depth=2)
@@ -525,7 +509,7 @@ class TestShedMarkerCompaction:
         assert stats.fully_accounted
         assert stats.queued_frames == 0
         assert stats.frames_delivered + stats.frames_shed == 500
-        assert len(gateway._order) == 0 and gateway._stale_markers == 0
+        assert len(gateway._order) == 0
 
 
 class TestLedgerAtEveryAwait:

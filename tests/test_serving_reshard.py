@@ -449,21 +449,53 @@ class TestFleetExportImport:
     def test_reshard_survives_drained_enqueue_only_patients(
         self, quantized_detector, feature_matrix
     ):
-        """Regression: a patient known only through enqueued windows that
-        were since drained has nothing to export — a reshard reassigning
-        them must skip them, not crash mid-migration (which would destroy
-        the states of patients exported before the crash)."""
+        """A patient known only through enqueued windows is a mover while a
+        window is queued, and holds nothing once it is drained — a reshard
+        then does not count them, and the pushed patients migrate intact."""
         fleet = ShardedFleet(quantized_detector, FS, n_shards=2, windowing=WINDOWING)
         for pid in range(4):
             fleet.push(pid, np.zeros(256), seq=0)
         fleet.enqueue([_feature_window(pid, 0.0, feature_matrix.X[pid]) for pid in range(100, 108)])
+        assert any(pid >= 100 for pid in fleet.preview_reshard(4))  # queued: members
         fleet.drain()  # the enqueue-only patients now hold no state at all
         moved = fleet.reshard(4)
-        assert any(pid >= 100 for pid in moved)  # some drained patients reassigned
+        assert not any(pid >= 100 for pid in moved)  # drained: not movers
         # The pushed patients' monitors survived the migration intact.
         for pid in range(4):
             assert fleet.has_patient(pid)
             fleet.push(pid, np.zeros(256), seq=1)
+
+    def test_drained_enqueue_only_ids_leave_no_membership(
+        self, quantized_detector, feature_matrix
+    ):
+        """Regression: membership is what the shards hold.  A thousand ids
+        known only through since-drained enqueued windows are no patients,
+        no movers and no routing entries of a long-running fleet."""
+        fleet = ShardedFleet(quantized_detector, FS, n_shards=2, windowing=WINDOWING)
+        X = feature_matrix.X
+        fleet.enqueue([_feature_window(pid, 0.0, X[pid % len(X)]) for pid in range(1000)])
+        assert fleet.n_patients == 1000
+        assert len(fleet.drain()) == 1000
+        assert fleet.n_patients == 0
+        assert fleet.preview_reshard(3) == {}
+        assert fleet.reshard(3) == {}
+        assert fleet._shard_of == {}
+        assert not any(fleet.has_patient(pid) for pid in range(1000))
+        assert fleet._shard_of == {}
+
+    def test_routing_memo_never_outgrows_the_monitors(self, quantized_detector):
+        fleet = ShardedFleet(
+            quantized_detector, FS, n_shards=2, windowing=WINDOWING, auto_register=False
+        )
+        fleet.add_patient(7)
+        fleet.push(7, np.zeros(256), seq=0)
+        for pid in range(100):  # unknown ids: rejected, not remembered
+            with pytest.raises(KeyError):
+                fleet.push(pid + 1000, np.zeros(256), seq=0)
+        assert fleet._shard_of == {7: fleet.ring.shard_of(7)}
+        fleet.reshard(3)
+        fleet.push(7, np.zeros(256), seq=1)
+        assert fleet._shard_of == {7: fleet.ring.shard_of(7)}
 
     def test_migration_preserves_sequence_tracker_across_reshard(self, quantized_detector):
         """Regression: a reshard must carry every moving patient's

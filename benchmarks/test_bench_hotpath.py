@@ -38,20 +38,27 @@ the real experiment features:
   trains its model on: ``smo_solve`` (running I_up/I_low masks updated at
   the two working-set entries, scalar side on Python floats) against the
   mask-rebuilding loop oracle of ``tests/oracles.py``, in ms per solve; and
-  the cohort's training-window features with the multi-segment spectral plan
-  against the ``welch_psd`` + ``band_powers`` composition, in µs per window.
-  Identical α, bias and feature bits.
+  the cohort's training-window features, batched by series length through
+  the row kernels (``extract_cohort_features``), against the per-window
+  ``extract_beats`` chain with the ``welch_psd`` + ``band_powers``
+  composition that the spectral plan replaced, in µs per window.  Identical
+  α, bias and feature bits.  A second, deterministic gate counts the Python
+  calls and C-builtin calls of one warm ``extract_cohort_features`` pass
+  (``sys.setprofile``) and pins them exactly.
 
 ``BENCH_hotpath.json`` next to this file is the committed per-commit record.
 The kernel, detector, feature and training benches refuse to pass when the
 measured speedup falls more than 20% below the committed record, so a
 regression that erodes the fast path fails CI even while still above its
-absolute bar.
+absolute bar.  The call counts do not drift with host load, but they are a
+property of the Python and NumPy versions that made them: an upgrade of
+either legitimately re-pins them (``_count_calls`` prints the new figures).
 """
 
 import contextlib
 import gc
 import json
+import sys
 import time
 from pathlib import Path
 from unittest import mock
@@ -68,7 +75,7 @@ from repro.signals.dataset import CohortParams, generate_cohort
 from repro.signals.ecg_model import ECGWaveformParams, synthesize_ecg
 from repro.signals.respiration import generate_respiration
 from repro.signals.rr_model import RRModelParams, generate_rr_series
-from repro.signals.windows import StreamingWindower, WindowingParams
+from repro.signals.windows import StreamingWindower, WindowingParams, extract_windows
 from repro.svm.kernels import PolynomialKernel
 from repro.svm.model import class_weighted_penalties, train_svm
 from repro.svm.scaling import make_scaler
@@ -529,13 +536,23 @@ def test_bench_hotpath_features(benchmark):
         )
 
 
-def _composed_training_features(cohort):
-    """The cohort's features with both ``welch_band_powers`` bindings on the
-    composition the multi-segment plan replaced."""
+def _per_window_training_features(cohort):
+    """The cohort's features window by window through ``extract_beats``,
+    with both ``welch_band_powers`` bindings on the composition the
+    multi-segment plan replaced: the training chain as it was before both
+    the plan and the batched extractor."""
+    extractor = FeatureExtractor()
+    rows = []
     with contextlib.ExitStack() as stack:
         for target, kernel in _REPLACED_KERNELS[:2]:
             stack.enter_context(mock.patch(target, kernel))
-        return extract_cohort_features(cohort)
+        for recording in cohort.recordings:
+            for window in extract_windows(recording, extractor.params.windowing):
+                try:
+                    rows.append(extractor.extract_window(recording, window))
+                except ValueError:
+                    continue
+    return np.array(rows)
 
 
 def _training_problem(features):
@@ -545,10 +562,10 @@ def _training_problem(features):
     return PolynomialKernel(degree=2)(X, X), y, class_weighted_penalties(y, 1.0, balanced=True)
 
 
-def _measure_train(cohort, pairs=7):
+def _measure_train(cohort, pairs=15):
     features = extract_cohort_features(cohort)
     gram, y, params = _training_problem(features)
-    _composed_training_features(cohort)
+    _per_window_training_features(cohort)
     oracles.smo_solve(gram, y, params)
     smo_solve(gram, y, params)
     gc.collect()
@@ -560,7 +577,7 @@ def _measure_train(cohort, pairs=7):
             pairs,
         )
         extract = interleaved_ratio(
-            timed(lambda: _composed_training_features(cohort)),
+            timed(lambda: _per_window_training_features(cohort)),
             timed(lambda: extract_cohort_features(cohort)),
             pairs,
         )
@@ -583,9 +600,9 @@ def test_bench_hotpath_train(benchmark):
     )
     print("mask-rebuilding SMO       : %8.1f ms/solve" % (t_oracle_smo * 1e3))
     print("incremental-mask SMO      : %8.1f ms/solve  (%.2fx)" % (t_smo * 1e3, smo_speedup))
-    print("composed Welch features   : %8.0f us/window" % (t_oracle_features / n * 1e6))
+    print("per-window composed Welch : %8.0f us/window" % (t_oracle_features / n * 1e6))
     print(
-        "multi-segment plan        : %8.0f us/window  (%.2fx)"
+        "batched row kernels       : %8.0f us/window  (%.2fx)"
         % (t_features / n * 1e6, features_speedup)
     )
     benchmark.extra_info["windows"] = n
@@ -601,7 +618,7 @@ def test_bench_hotpath_train(benchmark):
     assert result.alpha.tobytes() == oracle_result.alpha.tobytes()
     assert result.bias == oracle_result.bias
     assert result.n_iterations == oracle_result.n_iterations
-    assert fast_features.X.tobytes() == oracle_features.X.tobytes()
+    assert fast_features.X.tobytes() == oracle_features.tobytes()
     assert fast_features.X.tobytes() == features.X.tobytes()
 
     # Regression gate against the committed record.
@@ -614,3 +631,58 @@ def test_bench_hotpath_train(benchmark):
                 "committed record (%.2fx); update benchmarks/BENCH_hotpath.json "
                 "only with a justified trade-off" % (name, speedup, record[name + "_speedup"])
             )
+
+
+def _count_calls(fn):
+    """``(python_calls, c_calls)`` that ``fn()`` makes, as ``sys.setprofile``
+    sees them: Python function calls and calls of C builtins (NumPy's C
+    methods and functions included; operator ufuncs such as ``a + b`` raise
+    no event)."""
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return counts["call"], counts["c_call"]
+
+
+def test_bench_hotpath_train_call_counts():
+    """Calls per training window of a warm ``extract_cohort_features``: a
+    work count that host load cannot move, gated exactly.
+
+    Two untimed passes first, so every memoised plan exists (a bounded memo
+    cleared by the first pass is refilled by the second).  The exact pin
+    holds for the Python and NumPy versions recorded with it; under other
+    versions the test reports the counts to re-pin and skips.
+    """
+    cohort = generate_cohort(TRAIN_COHORT)
+    n = extract_cohort_features(cohort).n_samples
+    extract_cohort_features(cohort)
+    python_calls, c_calls = _count_calls(lambda: extract_cohort_features(cohort))
+    print()
+    print(
+        "warm extract_cohort_features: %d Python calls, %d C calls "
+        "(%.1f / %.1f per window, %d windows)"
+        % (python_calls, c_calls, python_calls / n, c_calls / n, n)
+    )
+    record = json.loads(HOTPATH_RECORD.read_text())["train"]["calls"]
+    pinned = (record["python_version"], record["numpy_version"])
+    running = ("%d.%d" % sys.version_info[:2], np.__version__)
+    if running != pinned:
+        pytest.skip(
+            "call counts are pinned for Python %s / NumPy %s; re-pin "
+            "benchmarks/BENCH_hotpath.json for %s / %s (measured %d Python, %d C calls)"
+            % (pinned + running + (python_calls, c_calls))
+        )
+    assert record["windows"] == n
+    pinned_counts = (record["python_calls"], record["c_calls"])
+    assert (python_calls, c_calls) == pinned_counts, (
+        "warm extract_cohort_features made %d Python and %d C calls; the "
+        "committed record pins %d and %d" % ((python_calls, c_calls) + pinned_counts)
+    )

@@ -17,6 +17,16 @@ Both return coefficients in the convention
 
 i.e. *positive* prediction coefficients, plus the white-noise driving
 variance.  :func:`ar_power_spectrum` evaluates the implied parametric PSD.
+
+:func:`ar_burg_rows` fits every row of a matrix of equal-length signals at
+once (the batched feature extractor) and returns the coefficients only.  Its
+dot products go through ``np.vecdot``, which calls the same BLAS ``ddot``
+per row as the 1-D ``x.dot(y)``, and the reflection coefficients, the
+coefficient recursion and the error updates are the same IEEE operations on
+arrays instead of Python floats, so each row carries exactly the
+coefficient bits of :func:`ar_burg`.  For one signal, :func:`ar_burg`'s
+Python-float scalar side is the faster of the two (2.4-3x at 120-720
+samples), so the per-window features keep it.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-__all__ = ["ar_burg", "ar_yule_walker", "ar_power_spectrum", "levinson_durbin"]
+__all__ = ["ar_burg", "ar_burg_rows", "ar_yule_walker", "ar_power_spectrum", "levinson_durbin"]
 
 
 def ar_burg(x: np.ndarray, order: int) -> Tuple[np.ndarray, float]:
@@ -95,6 +105,59 @@ def ar_burg(x: np.ndarray, order: int) -> Tuple[np.ndarray, float]:
     # prediction convention x[n] = sum a_k x[n-k] + e[n].
     a = -np.array(coeffs)
     return a, max(energy, 0.0)
+
+
+def ar_burg_rows(x: np.ndarray, order: int) -> np.ndarray:
+    """:func:`ar_burg` coefficients of every row of a 2-D array, row for row
+    bit-identical; returns ``(rows, order)``.
+
+    A non-contiguous input is copied to C order first.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("ar_burg_rows expects a 2-D array")
+    rows, n = x.shape
+    if order <= 0:
+        raise ValueError("order must be positive")
+    if n <= order:
+        raise ValueError("need more samples than the AR order")
+
+    # The recursion of ar_burg on flat ``rows * n`` buffers, updated in
+    # place, so each error update is one contiguous ufunc loop with
+    # same-shape operands (a broadcast reflection column costs ~3x per
+    # element).  Row i lives at [i*n, (i+1)*n).  After k orders its forward
+    # errors sit at row positions [k, n) and its backward errors at
+    # [0, n - k): ef[p] = f[p + k + 1] and eb[p] = b[p] line up at every
+    # flat position p, and an update at p reads and writes only p and
+    # p + k + 1.  Where p is a valid error of row i, both are in row i; where
+    # it is not, both land outside every row's valid errors.
+    f = x.ravel().copy()
+    b = f.copy()
+    cross = np.empty_like(f)
+    reflection_at = np.empty_like(f)
+    coeffs = np.empty((rows, order))
+    reflection = np.empty(rows)
+    for k in range(order):
+        m = n - k - 1
+        ef = f.reshape(rows, n)[:, k + 1 :]
+        eb = b.reshape(rows, n)[:, :m]
+        den = np.vecdot(ef, ef) + np.vecdot(eb, eb)
+        # ``0.0 if den <= 1e-30 else -2.0 * (eb . ef) / den``; a NaN den
+        # fails ``<=`` and takes the division, as in ar_burg.
+        reflection[:] = 0.0
+        np.divide(-2.0 * np.vecdot(eb, ef), den, out=reflection, where=~(den <= 1e-30))
+        # new[i] = old[k-1-i] * reflection + old[i], then append reflection.
+        coeffs[:, :k] = coeffs[:, :k][:, ::-1] * reflection[:, None] + coeffs[:, :k]
+        coeffs[:, k] = reflection
+        # f' = ef + r*eb and b' = eb + r*ef (with the old ef), in place.
+        span = f.size - k - 1
+        ef, eb, r = f[k + 1 :], b[:span], reflection_at[:span]
+        reflection_at.reshape(rows, n)[:] = reflection[:, None]
+        np.multiply(eb, r, out=cross[:span])
+        np.multiply(ef, r, out=r)
+        np.add(ef, cross[:span], out=ef)
+        np.add(eb, r, out=eb)
+    return -coeffs
 
 
 def levinson_durbin(autocorr: np.ndarray, order: int) -> Tuple[np.ndarray, float]:

@@ -5,6 +5,14 @@ every analysis window, so both memoise the parts of their computation that
 depend only on the input *length* (the averaging kernel, the edge-count
 normaliser, the centred time grid) — pure functions of ``(n, width)`` /
 ``n``, cached bounded, and bit-identical to recomputing them.
+
+:func:`detrend_rows` detrends every row of a matrix of equal-length signals
+at once, for the batched training-cohort features: the same memoised grid,
+per-row means reduced along a C-contiguous last axis (NumPy's pairwise sum,
+row by row, as for a 1-D array) and per-row slopes through ``np.vecdot``,
+which calls the same BLAS ``ddot`` as ``t.dot(centred)`` — so each row
+carries exactly the bits of :func:`detrend`.  The moving average stays per
+signal: ``np.convolve`` has no row-batched form with the same bits.
 """
 
 from __future__ import annotations
@@ -13,7 +21,14 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-__all__ = ["moving_average", "difference", "detrend", "bandpass_fir", "apply_fir"]
+__all__ = [
+    "moving_average",
+    "difference",
+    "detrend",
+    "detrend_rows",
+    "bandpass_fir",
+    "apply_fir",
+]
 
 #: (signal length, width) -> (kernel, clipped edge-count normaliser).
 _MA_CACHE: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
@@ -72,6 +87,35 @@ def detrend(x: np.ndarray) -> np.ndarray:
     n = x.size
     if n < 3:
         return x - (np.mean(x) if n else 0.0)
+    t, t_dot_t = _DETREND_CACHE.get(n) or _detrend_grid(n)
+    # ``x.mean()`` and ``np.dot`` without their wrappers: the same reduction
+    # over n, the same BLAS dot, so the same bits.
+    centred = x - np.add.reduce(x) / n
+    slope = t.dot(centred) / t_dot_t
+    return centred - slope * t
+
+
+def detrend_rows(x: np.ndarray) -> np.ndarray:
+    """:func:`detrend` of every row of a 2-D array, row for row bit-identical.
+
+    A non-contiguous input is copied to C order first, so every reduction
+    runs along a contiguous last axis.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("detrend_rows expects a 2-D array")
+    n = x.shape[1]
+    if n < 3:
+        return np.array([detrend(row) for row in x]).reshape(x.shape)
+    t, t_dot_t = _DETREND_CACHE.get(n) or _detrend_grid(n)
+    centred = x - np.add.reduce(x, axis=1, keepdims=True) / n
+    slope = np.vecdot(centred, t) / t_dot_t
+    return np.subtract(centred, slope[:, None] * t, out=centred)
+
+
+def _detrend_grid(n: int) -> Tuple[np.ndarray, float]:
+    """The centred time grid of an ``n``-sample signal and its dot with
+    itself, memoised per ``n``."""
     cached = _DETREND_CACHE.get(n)
     if cached is None:
         if len(_DETREND_CACHE) >= _CACHE_LIMIT:
@@ -81,12 +125,7 @@ def detrend(x: np.ndarray) -> np.ndarray:
         t.setflags(write=False)
         cached = (t, float(t.dot(t)))
         _DETREND_CACHE[n] = cached
-    t, t_dot_t = cached
-    # ``x.mean()`` and ``np.dot`` without their wrappers: the same reduction
-    # over n, the same BLAS dot, so the same bits.
-    centred = x - np.add.reduce(x) / n
-    slope = t.dot(centred) / t_dot_t
-    return centred - slope * t
+    return cached
 
 
 def bandpass_fir(

@@ -32,6 +32,14 @@ The implementation is hot-path tuned without changing a single output bit
   training windows): their segments are gathered through a memoised
   row-index matrix and their periodograms accumulated row by row, in
   segment order, exactly as :func:`welch_psd` does.
+* :func:`welch_band_powers_rows` runs the same plan on every row of a matrix
+  of equal-length signals at once (the batched training-cohort features).
+  Each row carries exactly the bits of :func:`welch_band_powers`: segment
+  gathers are made C-contiguous (``take``), so every mean and band sum is a
+  reduction along a contiguous last axis — NumPy's pairwise sum per row, as
+  for a 1-D array (a fancy-index gather ``x[:, rows]`` is not contiguous,
+  and its segment means round differently); row-wise FFTs equal 1-D FFTs;
+  and the periodograms still accumulate segment by segment, in order.
 """
 
 from __future__ import annotations
@@ -40,10 +48,13 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["welch_psd", "band_power", "band_powers", "welch_band_powers"]
-
-#: ``np.trapz`` was renamed to ``np.trapezoid`` in NumPy 2.0; support both.
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+__all__ = [
+    "welch_psd",
+    "band_power",
+    "band_powers",
+    "welch_band_powers",
+    "welch_band_powers_rows",
+]
 
 #: Memoised Hann windows: segment length -> (window, sum(window**2)).
 _HANN_CACHE: Dict[int, Tuple[np.ndarray, float]] = {}
@@ -156,7 +167,7 @@ def band_power(freqs: np.ndarray, psd: np.ndarray, low_hz: float, high_hz: float
     mask = (freqs >= low_hz) & (freqs <= high_hz)
     if not np.any(mask):
         return 0.0
-    return float(_trapezoid(psd[mask], freqs[mask]))
+    return float(np.trapezoid(psd[mask], freqs[mask]))
 
 
 def band_powers(
@@ -212,10 +223,11 @@ def _band_layout(freqs: np.ndarray, edges: Sequence[Tuple[float, float]]) -> _Ba
 
 def _panels(widths: np.ndarray, psd: np.ndarray) -> np.ndarray:
     """Trapezoid panels ``widths * (psd[1:] + psd[:-1]) / 2.0`` — the
-    elementwise expression ``np.trapezoid`` evaluates — plus one +0.0 pad."""
-    padded = np.zeros(psd.size)
-    panel = padded[:-1]
-    np.add(psd[1:], psd[:-1], out=panel)
+    elementwise expression ``np.trapezoid`` evaluates — plus one +0.0 pad,
+    along the last axis of a PSD or of a matrix of PSD rows."""
+    padded = np.zeros(psd.shape)
+    panel = padded[..., :-1]
+    np.add(psd[..., 1:], psd[..., :-1], out=panel)
     np.multiply(widths, panel, out=panel)
     np.divide(panel, 2.0, out=panel)
     return padded
@@ -324,3 +336,48 @@ def welch_band_powers(x: np.ndarray, fs: float, edges: Sequence[Tuple[float, flo
             np.add(psd, row, out=psd)
         power = np.divide(psd, power.shape[0], out=psd)
     return _integrate(_panels(widths, power), layout)
+
+
+def welch_band_powers_rows(
+    x: np.ndarray, fs: float, edges: Sequence[Tuple[float, float]]
+) -> np.ndarray:
+    """:func:`welch_band_powers` of every row of a 2-D array of equal-length
+    signals, row for row bit-identical; returns ``(rows, bands)``.
+
+    A non-contiguous input is copied to C order first.  Raises
+    ``ValueError`` for rows too short for PSD estimation.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("welch_band_powers_rows expects a 2-D array")
+    size = x.shape[1]
+    if size < 8:
+        raise ValueError("signal too short for PSD estimation")
+    n = min(256, size)
+    window, fs_power, doubling, widths, layout = _spectral_plan(
+        n, fs, np.asarray(edges, dtype=float)
+    )
+    if size - n < max(1, n // 2):
+        segment = np.ascontiguousarray(x[:, :n])
+        data = segment - np.add.reduce(segment, axis=1, keepdims=True) / n
+    else:
+        data = x.take(_segment_rows(size, n), axis=1)
+        np.subtract(data, np.add.reduce(data, axis=2, keepdims=True) / n, out=data)
+    np.multiply(data, window, out=data)
+    power = np.abs(np.fft.rfft(data))
+    np.multiply(power, power, out=power)
+    np.divide(power, fs_power, out=power)
+    np.multiply(power, doubling, out=power)
+    if power.ndim == 3:
+        # Segment by segment, in order, as welch_band_powers.
+        psd = power[:, 0]
+        for s in range(1, power.shape[1]):
+            np.add(psd, power[:, s], out=psd)
+        power = np.divide(psd, power.shape[1], out=psd)
+    padded = _panels(widths, power)
+    if isinstance(layout, np.ndarray):
+        return np.add.reduce(padded.take(layout, axis=1), axis=2)
+    bands = np.empty((padded.shape[0], len(layout)))
+    for j, band in enumerate(layout):
+        bands[:, j] = np.add.reduce(np.ascontiguousarray(padded[:, band]), axis=1)
+    return bands

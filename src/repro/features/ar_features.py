@@ -13,10 +13,10 @@ from typing import List
 
 import numpy as np
 
-from repro.dsp.ar import ar_burg
-from repro.dsp.filters import detrend
+from repro.dsp.ar import ar_burg, ar_burg_rows
+from repro.dsp.filters import detrend, detrend_rows
 
-__all__ = ["AR_ORDER", "AR_FEATURE_NAMES", "ar_features"]
+__all__ = ["AR_ORDER", "AR_FEATURE_NAMES", "ar_features", "ar_features_rows"]
 
 #: Order of the AR model; features 16–24 of the paper are nine coefficients.
 AR_ORDER: int = 9
@@ -42,3 +42,12 @@ def ar_features(edr: np.ndarray) -> np.ndarray:
         raise ValueError("EDR segment too short for an AR(%d) model" % AR_ORDER)
     coefficients, _ = ar_burg(detrend(edr), AR_ORDER)
     return np.asarray(coefficients, dtype=float)
+
+
+def ar_features_rows(edr: np.ndarray) -> np.ndarray:
+    """:func:`ar_features` of each row of a matrix of equal-length EDR
+    series, row for row bit-identical; returns ``(rows, 9)``."""
+    edr = np.ascontiguousarray(edr, dtype=float)
+    if edr.shape[1] <= AR_ORDER + 1:
+        raise ValueError("EDR segment too short for an AR(%d) model" % AR_ORDER)
+    return ar_burg_rows(detrend_rows(edr), AR_ORDER)

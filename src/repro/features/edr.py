@@ -19,15 +19,15 @@ Two entry points are provided:
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.dsp.filters import detrend, moving_average
+from repro.dsp.filters import detrend, detrend_rows, moving_average
 from repro.dsp.peaks import PanTompkinsParams, detect_r_peaks
-from repro.dsp.resample import resample_beats_to_uniform
+from repro.dsp.resample import resample_beats_to_uniform, resample_rows
 
-__all__ = ["EDR_FS", "edr_series_from_amplitudes", "edr_series_from_ecg"]
+__all__ = ["EDR_FS", "edr_rows", "edr_series_from_amplitudes", "edr_series_from_ecg"]
 
 #: Uniform sampling rate of the EDR series (Hz).  4 Hz comfortably covers the
 #: respiratory band (0.1 – 0.6 Hz).
@@ -57,6 +57,24 @@ def edr_series_from_amplitudes(
     series = detrend(series)
     series = moving_average(series, 3)
     return t, series
+
+
+def edr_rows(
+    windows: Sequence[Tuple[np.ndarray, np.ndarray, float]], n: int, fs: float = EDR_FS
+) -> np.ndarray:
+    """The EDR series of several windows whose grids all hold ``n`` samples,
+    as the rows of one matrix, each bit for bit the series
+    :func:`edr_series_from_amplitudes` returns.
+
+    ``windows`` holds ``(beat_times_s, r_amplitudes, start)``, with
+    ``(start, n)`` from :func:`~repro.dsp.resample.uniform_grid`.  The
+    resample and the 3-sample moving average run per row; the detrend runs
+    on the whole matrix.
+    """
+    series = detrend_rows(resample_rows(windows, n, fs))
+    for row in series:
+        row[:] = moving_average(row, 3)
+    return series
 
 
 def edr_series_from_ecg(

@@ -15,10 +15,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.dsp.psd import welch_band_powers
+from repro.dsp.psd import welch_band_powers, welch_band_powers_rows
 from repro.features.edr import EDR_FS
 
-__all__ = ["PSD_BANDS", "PSD_FEATURE_NAMES", "psd_features"]
+__all__ = ["PSD_BANDS", "PSD_FEATURE_NAMES", "psd_features", "psd_features_rows"]
 
 #: Number of PSD band features (paper features 25–53).
 _N_BANDS = 29
@@ -63,3 +63,16 @@ def psd_features(edr: np.ndarray, fs: float = EDR_FS) -> np.ndarray:
     if total <= 1e-18:
         return np.zeros(_N_BANDS)
     return powers / total
+
+
+def psd_features_rows(edr: np.ndarray, fs: float = EDR_FS) -> np.ndarray:
+    """:func:`psd_features` of each row of a matrix of equal-length EDR
+    series, row for row bit-identical; returns ``(rows, 29)``."""
+    edr = np.ascontiguousarray(edr, dtype=float)
+    if edr.shape[1] < 16:
+        raise ValueError("EDR segment too short for PSD features")
+    powers = welch_band_powers_rows(edr, fs, _PSD_EDGES)
+    total = np.add.reduce(powers, axis=1, keepdims=True)
+    # ``powers / total``, or zeros where ``total <= 1e-18`` (a NaN total
+    # fails ``<=`` and divides, as in psd_features).
+    return np.divide(powers, total, out=np.zeros_like(powers), where=~(total <= 1e-18))

@@ -93,7 +93,7 @@ class TestWelch:
         rng = np.random.default_rng(6)
         x = rng.standard_normal(4096)
         freqs, psd = welch_psd(x, fs, segment_length=512)
-        total_power = np.trapezoid(psd, freqs) if hasattr(np, "trapezoid") else np.trapz(psd, freqs)
+        total_power = np.trapezoid(psd, freqs)
         assert total_power == pytest.approx(np.var(x), rel=0.2)
 
     def test_short_signal_raises(self):

@@ -8,6 +8,12 @@ straightforward loop or NumPy wrapper.  The loops live on in
 equal bits) between oracle and production code, on realistic leads and on
 the hostile ones — flat, saturated, and spiked with NaN/inf samples — at
 fs ∈ {64, 128, 256} and random chunk partitions.
+
+The row kernels (``detrend_rows``, ``ar_burg_rows``,
+``welch_band_powers_rows``) must give, row for row, the bits of their 1-D
+kernels on any layout of input; the batched extractor
+(``FeatureExtractor.extract_batch``) must give the bits and the verdicts of
+``extract_beats`` window by window.
 """
 
 from __future__ import annotations
@@ -17,21 +23,30 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.dsp import peaks
-from repro.dsp.ar import ar_burg
-from repro.dsp.filters import detrend, moving_average
+from repro.dsp.ar import ar_burg, ar_burg_rows
+from repro.dsp.filters import detrend, detrend_rows, moving_average
 from repro.dsp.moments import mean, sample_std
 from repro.dsp.peaks import StreamingPeakDetector, detect_r_peaks
-from repro.dsp.psd import band_power, band_powers, welch_band_powers, welch_psd
+from repro.dsp.psd import (
+    band_power,
+    band_powers,
+    welch_band_powers,
+    welch_band_powers_rows,
+    welch_psd,
+)
 from repro.dsp.resample import resample_beats_to_uniform
+from repro.features.ar_features import ar_features, ar_features_rows
+from repro.features.extractor import FeatureExtractor, extract_cohort_features
 from repro.features.hrv import HF_BAND, LF_BAND, hrv_features
 from repro.features.lorenz import lorenz_features
-from repro.features.psd_features import PSD_BANDS
+from repro.features.psd_features import PSD_BANDS, psd_features, psd_features_rows
 from repro.signals.ecg_model import ECGWaveformParams, synthesize_ecg
 from repro.signals.respiration import generate_respiration
 from repro.signals.rr_model import RRModelParams, generate_rr_series
+from repro.signals.windows import extract_windows
 from tests import oracles
 
 
@@ -446,3 +461,201 @@ def test_multi_segment_welch_band_powers_match_the_oracle(seed, n, fs, edges, sc
     assert _same_bits(welch_band_powers(x, fs, edges), expected)
     # A second call runs on the memoised plan and segment rows.
     assert _same_bits(welch_band_powers(x, fs, edges), expected)
+
+
+# --------------------------------------------------------------------------
+# Row kernels: detrend, Burg and Welch on a matrix vs their 1-D kernels
+# --------------------------------------------------------------------------
+
+#: One-segment Welch (8, 16, 255–257), one segment of a longer signal
+#: (383), two segments (384, 385), and the training windows' EDR and
+#: tachogram lengths (714–720, four segments).
+ROW_LENGTHS = [8, 16, 255, 256, 257, 383, 384, 385] + list(range(714, 721))
+
+
+@st.composite
+def row_matrices(draw):
+    """1–70 equal-length rows, some constant, some spiked with NaN or ±inf,
+    in C, Fortran, strided or fancy-gathered layout."""
+    rows = draw(st.integers(1, 70))
+    n = draw(st.sampled_from(ROW_LENGTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-8, 1.0, 1e6]))
+    x = scale * (rng.standard_normal((rows, n)) + np.sin(2 * np.pi * 0.07 * np.arange(n))) + 2.0
+    # Constant rows: a zero detrended signal, so every Burg den is 0.
+    constant = rng.random(rows) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    x[constant] = rng.uniform(-3.0, 3.0, size=(int(constant.sum()), 1))
+    spikes = draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3))
+    x[rng.integers(0, rows, size=len(spikes)), rng.integers(0, n, size=len(spikes))] = spikes
+    layout = draw(st.sampled_from(["C", "F", "strided", "gathered"]))
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "strided":
+        wide = np.zeros((rows, 2 * n))
+        wide[:, ::2] = x
+        x = wide[:, ::2]
+    elif layout == "gathered":
+        wide = np.zeros((rows, n + 3))
+        wide[:, 3:] = x
+        x = wide[:, np.arange(3, n + 3)]
+    return x
+
+
+@given(x=row_matrices())
+@settings(max_examples=100, deadline=None)
+def test_detrend_rows_match_detrend(x):
+    assert _same_bits(detrend_rows(x), np.array([detrend(row) for row in x]))
+
+
+@given(x=row_matrices(), order=st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_ar_burg_rows_match_ar_burg(x, order):
+    order = min(order, x.shape[1] - 1)
+    # The coefficients do not depend on the input's layout (ar_burg works
+    # on contiguous copies), so the reference runs on the rows as given.
+    expected = np.array([ar_burg(row, order)[0] for row in x])
+    assert _same_bits(ar_burg_rows(x, order), expected)
+
+
+def test_ar_burg_rows_of_constant_rows_are_zero():
+    """Detrended constant rows: every den <= 1e-30, every reflection 0."""
+    coefficients = ar_burg_rows(detrend_rows(np.full((3, 40), 2.5)), 9)
+    assert _same_bits(coefficients, np.array([ar_burg(np.zeros(40), 9)[0]] * 3))
+    assert not coefficients.any()
+
+
+@given(x=row_matrices(), fs=st.sampled_from([4.0, 1.0, 7.3]), edges=band_edges())
+@settings(max_examples=100, deadline=None)
+def test_welch_band_powers_rows_match_welch_band_powers(x, fs, edges):
+    expected = np.array([welch_band_powers(row, fs, edges) for row in x])
+    assert _same_bits(welch_band_powers_rows(x, fs, edges), expected.reshape(x.shape[0], -1))
+
+
+@given(x=row_matrices())
+@settings(max_examples=60, deadline=None)
+def test_ar_and_psd_features_rows_match_their_1d_features(x):
+    """The feature-level row functions, NaN/inf rows and flat rows (zero
+    total power) included."""
+    assume(x.shape[1] >= 16)
+    rows = np.ascontiguousarray(x)
+    assert _same_bits(ar_features_rows(x), np.array([ar_features(row) for row in rows]))
+    assert _same_bits(psd_features_rows(x), np.array([psd_features(row) for row in rows]))
+
+
+def test_row_kernels_reject_what_their_1d_kernels_reject():
+    with pytest.raises(ValueError):
+        welch_band_powers_rows(np.ones((3, 7)), 4.0, PSD_BANDS)
+    with pytest.raises(ValueError):
+        ar_burg_rows(np.ones((3, 9)), 9)
+    with pytest.raises(ValueError):
+        ar_burg_rows(np.ones((3, 20)), 0)
+
+
+# --------------------------------------------------------------------------
+# Batched extractor vs extract_beats, window by window
+# --------------------------------------------------------------------------
+
+#: Window kinds: usable ones closed by a boundary beat (as many RRs as
+#: beats) or by the clock (one RR fewer), and every kind extract_beats
+#: rejects or special-cases.
+WINDOW_KINDS = [
+    "boundary",
+    "clock",
+    "few_beats",
+    "non_increasing",
+    "short_tachogram",
+    "unresampled_tachogram",
+    "flat_edr",
+    "nan_amplitude",
+    "short_edr",
+    "mismatched",
+]
+
+
+def _window(kind, rng):
+    span = rng.choice([178.0, 179.0, 180.0])  # a few lengths, so groups form
+    rr = rng.uniform(0.7, 0.9, size=260)
+    beats = 3.0 + np.cumsum(rr)
+    keep = beats < 3.0 + span
+    beats, rr = beats[keep], rr[keep]
+    noise = 0.02 * rng.standard_normal(beats.size)
+    amplitudes = 1.0 + 0.1 * np.sin(2 * np.pi * 0.25 * beats) + noise
+    if kind == "clock":
+        rr = rr[:-1]
+    elif kind == "few_beats":
+        beats, rr, amplitudes = beats[:7], rr[:7], amplitudes[:7]
+    elif kind == "non_increasing":
+        beats[[10, 11]] = beats[[11, 10]]
+    elif kind == "short_tachogram":  # the RR sum spans < 2 s: fewer than 8 samples
+        rr = np.full(rr.size, 0.005)
+    elif kind == "unresampled_tachogram":  # non-increasing running sum of RRs
+        rr[5] = -1.0
+    elif kind == "flat_edr":
+        amplitudes = np.full(beats.size, 1.2)
+    elif kind == "nan_amplitude":
+        amplitudes[rng.integers(0, beats.size)] = np.nan
+    elif kind == "short_edr":  # 12 beats in ~3 s: an EDR too short for PSD features
+        beats, rr, amplitudes = beats[:12] * 0.3, rr[:12] * 0.3, amplitudes[:12]
+    elif kind == "mismatched":
+        amplitudes = amplitudes[:-1]
+    return beats, rr, amplitudes
+
+
+def _per_window(extractor, items):
+    rows, kept = [], []
+    for idx, item in enumerate(items):
+        try:
+            rows.append(extractor.extract_beats(*item))
+        except ValueError:
+            continue
+        kept.append(idx)
+    return np.array(rows).reshape(len(kept), 53), kept
+
+
+@given(
+    kinds=st.lists(st.sampled_from(WINDOW_KINDS), min_size=1, max_size=80),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_extract_batch_matches_extract_beats(kinds, seed):
+    rng = np.random.default_rng(seed)
+    items = [_window(kind, rng) for kind in kinds]
+    extractor = FeatureExtractor()
+    X, kept = extractor.extract_batch(items)
+    expected, expected_kept = _per_window(extractor, items)
+    assert kept == expected_kept
+    assert _same_bits(X, expected)
+
+
+def test_extract_batch_covers_every_window_kind():
+    """Every kind once, with 40 usable windows of one length around them so
+    a length group spans two chunks; the verdicts are the expected ones."""
+    rng = np.random.default_rng(5)
+    items = [_window(kind, rng) for kind in WINDOW_KINDS]
+    items += [_window("boundary", np.random.default_rng(77)) for _ in range(40)]
+    extractor = FeatureExtractor()
+    X, kept = extractor.extract_batch(items)
+    expected, expected_kept = _per_window(extractor, items)
+    assert kept == expected_kept
+    assert _same_bits(X, expected)
+    usable = {WINDOW_KINDS[i] for i in kept if i < len(WINDOW_KINDS)}
+    assert usable == {"boundary", "clock", "short_tachogram", "unresampled_tachogram", "flat_edr"}
+    for kind in ("short_tachogram", "unresampled_tachogram"):
+        assert X[kept.index(WINDOW_KINDS.index(kind)), 7] == 0.0
+
+
+def test_cohort_features_match_per_window_extraction(small_cohort, feature_matrix):
+    """extract_cohort_features batches the whole cohort; its rows are the
+    per-window extract_window rows, in (session, window start) order."""
+    extractor = FeatureExtractor()
+    rows, sessions = [], []
+    for recording in small_cohort.recordings:
+        for window in extract_windows(recording, extractor.params.windowing):
+            try:
+                rows.append(extractor.extract_window(recording, window))
+            except ValueError:
+                continue
+            sessions.append(recording.session_id)
+    assert _same_bits(feature_matrix.X, np.array(rows))
+    assert feature_matrix.session_ids.tolist() == sessions
+    assert _same_bits(extract_cohort_features(small_cohort).X, feature_matrix.X)

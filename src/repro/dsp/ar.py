@@ -53,8 +53,11 @@ def ar_burg(x: np.ndarray, order: int) -> Tuple[np.ndarray, float]:
     -------
     (coefficients, noise_variance):
         ``coefficients`` has shape ``(order,)`` with the convention above.
+        A non-contiguous input is copied to C order first, as in
+        :func:`ar_burg_rows`, so the noise variance's dot product sums in
+        the same order whatever the input's memory layout.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     n = x.size
     if order <= 0:
         raise ValueError("order must be positive")

@@ -232,6 +232,8 @@ class FeatureExtractor:
         # Series length -> [(window index, grid start)].
         edr_groups: Dict[int, List[Tuple[int, float]]] = {}
         tachogram_groups: Dict[int, List[Tuple[int, float]]] = {}
+        # Window index -> its tachogram's sample times.
+        tachogram_times: Dict[int, np.ndarray] = {}
         for idx, item in enumerate(items):
             try:
                 beats, rr, amplitudes = _beat_arrays(*item)
@@ -243,10 +245,11 @@ class FeatureExtractor:
             X[idx, _HRV_TIME] = hrv_time_domain(rr)
             X[idx, _LORENZ] = lorenz_features(rr)
             try:
-                tachogram_start, tachogram_n = tachogram_grid(rr, beats)
+                times, tachogram_start, tachogram_n = tachogram_grid(rr, beats)
             except ValueError:
                 X[idx, _LF_HF] = 0.0
             else:
+                tachogram_times[idx] = times
                 tachogram_groups.setdefault(tachogram_n, []).append((idx, tachogram_start))
             edr_groups.setdefault(edr_n, []).append((idx, edr_start))
             usable[idx] = True
@@ -261,7 +264,7 @@ class FeatureExtractor:
                 usable[rows] = False
         for n, chunk in _chunks(tachogram_groups):
             X[[idx for idx, _ in chunk], _LF_HF] = lf_hf_ratio_rows(
-                [(windows[i][1], windows[i][0], start) for i, start in chunk], n
+                [(tachogram_times[i], windows[i][1], start) for i, start in chunk], n
             )
 
         usable &= np.isfinite(X).all(axis=1)

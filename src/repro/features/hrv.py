@@ -121,11 +121,13 @@ def _capped_ratio(lf: float, hf: float) -> float:
     return float(min(lf / hf, 50.0))
 
 
-def tachogram_grid(rr: np.ndarray, beat_times_s: np.ndarray) -> Tuple[float, int]:
-    """Start and sample count of a window's resampled RR tachogram, from
-    float64 arrays; raises ``ValueError`` where the LF/HF ratio reads 0.0
-    because the tachogram cannot be resampled."""
-    return uniform_grid(_tachogram_times(rr, beat_times_s), rr, _TACHOGRAM_FS)
+def tachogram_grid(rr: np.ndarray, beat_times_s: np.ndarray) -> Tuple[np.ndarray, float, int]:
+    """Sample times, grid start and grid sample count of a window's RR
+    tachogram, from float64 arrays; raises ``ValueError`` where the LF/HF
+    ratio reads 0.0 because the tachogram cannot be resampled."""
+    times = _tachogram_times(rr, beat_times_s)
+    start, n = uniform_grid(times, rr, _TACHOGRAM_FS)
+    return times, start, n
 
 
 def lf_hf_ratio_rows(
@@ -134,15 +136,11 @@ def lf_hf_ratio_rows(
     """The LF/HF ratio of several windows whose tachograms all hold ``n``
     samples, bit for bit as :func:`hrv_features` computes it.
 
-    ``windows`` holds ``(rr, beat_times_s, start)``, with ``(start, n)``
+    ``windows`` holds ``(times, rr, start)``, with ``(times, start, n)``
     from :func:`tachogram_grid`.  The tachograms are resampled into the rows
     of one matrix and their Welch band powers computed at once.
     """
-    tachograms = resample_rows(
-        [(_tachogram_times(rr, beats), rr, start) for rr, beats, start in windows],
-        n,
-        _TACHOGRAM_FS,
-    )
+    tachograms = resample_rows(windows, n, _TACHOGRAM_FS)
     try:
         powers = welch_band_powers_rows(tachograms, _TACHOGRAM_FS, _LF_HF_EDGES)
     except ValueError:

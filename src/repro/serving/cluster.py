@@ -43,6 +43,12 @@ cluster-level :class:`~repro.serving.sharding.HashRing`, and moves patients
   cluster-wide ``routed + replayed + forwarded == sum(received)`` across
   live and retired nodes alike.
 
+* **Data plane** — each node's data port is a
+  :class:`~repro.serving.ingest.FrameStreamServer`, the gateway's own
+  connection path; frames decoded at any node route to their owner, and a
+  control frame on a data port drops that connection.  The control sockets
+  read through the same :func:`~repro.serving.ingest.read_frames` loop.
+
 Everything runs on one asyncio loop with real TCP sockets between nodes —
 the transport is honest, the processes are not (state never crosses a
 process boundary except pickled, exactly as it would cross hosts).  The
@@ -61,7 +67,13 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.serving import migration
 from repro.serving.fleet import MonitorFleet, decision_sort_key
-from repro.serving.ingest import BackpressureError, GatewayStats, IngestGateway
+from repro.serving.ingest import (
+    FrameStreamServer,
+    GatewayStats,
+    IngestGateway,
+    close_writer,
+    read_frames,
+)
 from repro.serving.sharding import HashRing
 from repro.serving.streaming import MONITOR_STATE_VERSION, MonitorState, WindowDecision
 from repro.serving.wire import (
@@ -171,7 +183,7 @@ class ClusterStats:
 
 
 class _ClusterNode:
-    """One federated host: a fleet, its gateway, and its control socket."""
+    """One federated host: a fleet, its gateway, its control socket and data port."""
 
     __slots__ = (
         "slot",
@@ -180,18 +192,20 @@ class _ClusterNode:
         "gateway",
         "control_server",
         "control_addr",
-        "data_server",
+        "data",
         "_fail_next_ack",
     )
 
-    def __init__(self, slot: int, name: str, fleet: MonitorFleet, gateway: IngestGateway):
+    def __init__(
+        self, slot: int, fleet: MonitorFleet, gateway: IngestGateway, data: FrameStreamServer
+    ) -> None:
         self.slot = slot
-        self.name = name
+        self.name = "g%d" % slot
         self.fleet = fleet
         self.gateway = gateway
         self.control_server: Optional[asyncio.AbstractServer] = None
         self.control_addr: Optional[Tuple[str, int]] = None
-        self.data_server: Optional[asyncio.AbstractServer] = None
+        self.data = data
         #: Test seam for the mid-handoff crash drill: the next successful
         #: state import on this node is discarded and the connection closed
         #: *without* an ACK — the destination "died" after importing.
@@ -314,7 +328,7 @@ class GatewayCluster:
             clock=self._clock,
             lossy=self.lossy,
         )
-        return _ClusterNode(slot, "g%d" % slot, fleet, gateway)
+        return _ClusterNode(slot, fleet, gateway, FrameStreamServer())
 
     # -------------------------------------------------------------- lifecycle
     async def _start_node(self, node: _ClusterNode) -> None:
@@ -348,22 +362,24 @@ class GatewayCluster:
         addresses: Dict[str, Tuple[str, int]] = {}
         for slot in sorted(self._nodes):
             node = self._nodes[slot]
-            if node.data_server is None:
-                node.data_server = await asyncio.start_server(
-                    self._handle_data_connection, self._host, 0
-                )
-            sockname = node.data_server.sockets[0].getsockname()
-            addresses[node.name] = (sockname[0], sockname[1])
+            address = node.data.address
+            if address is None:
+                address = await node.data.listen(self.submit_chunk, self._host, 0)
+            addresses[node.name] = address
         return addresses
 
     async def stop(self) -> List[WindowDecision]:
         """Drain every node, stop everything, return all decisions.
 
-        Each live node delivers its queued frames, flushes partial windows
+        Every data connection closes first, at once, while the pumps still
+        run (a producer parked on a full queue finishes through them).  Each
+        live node then delivers its queued frames, flushes partial windows
         and runs a final classify (synchronously — no pump interleaving),
         then crash-stops its transport.  Returns the cluster's complete
         decision list in canonical order (also left on :attr:`decisions`).
         """
+        for slot in sorted(self._nodes):
+            await self._nodes[slot].data.close()
         final: List[WindowDecision] = []
         for slot in sorted(self._nodes):
             node = self._nodes[slot]
@@ -376,13 +392,12 @@ class GatewayCluster:
         return list(self.decisions)
 
     async def _close_node(self, node: _ClusterNode) -> None:
-        for server in (node.control_server, node.data_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
+        if node.control_server is not None:
+            node.control_server.close()
+            await node.control_server.wait_closed()
         node.control_server = None
-        node.data_server = None
         node.control_addr = None
+        await node.data.close()
         await node.gateway.abort()
 
     async def __aenter__(self) -> "GatewayCluster":
@@ -443,38 +458,6 @@ class GatewayCluster:
         # raised above and must not be resurrected by a WAL replay.
         self._wal.setdefault(patient_id, []).append(chunk)
 
-    async def _handle_data_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        decoder = StreamDecoder()
-        try:
-            while True:
-                try:
-                    data = await reader.read(1 << 16)
-                except (ConnectionError, OSError):
-                    break
-                if not data:
-                    decoder.finish()
-                    break
-                for frame in decoder.feed(data):
-                    if not isinstance(frame, EcgChunk):
-                        raise WireFormatError(
-                            "%s is a control frame; the data plane carries "
-                            "DATA frames only" % type(frame).__name__
-                        )
-                    try:
-                        await self.submit_chunk(frame)
-                    except BackpressureError:
-                        pass  # counted at the owning gateway; stream goes on
-        except WireFormatError:
-            self._wire_errors += 1
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
     # ---------------------------------------------------------- control plane
     async def _handle_control_connection(
         self,
@@ -483,52 +466,35 @@ class GatewayCluster:
         writer: asyncio.StreamWriter,
     ) -> None:
         """One inbound handoff exchange on ``node``'s control socket."""
-        decoder = StreamDecoder()
         pending: Dict[int, HandoffFrame] = {}
         try:
-            while True:
-                try:
-                    data = await reader.read(1 << 16)
-                except (ConnectionError, OSError):
-                    break
-                if not data:
-                    break
-                for frame in decoder.feed(data):
-                    if isinstance(frame, HandoffFrame):
-                        pending[frame.token] = frame
-                        continue
-                    if isinstance(frame, StateFrame):
-                        opening = pending.pop(frame.token, None)
-                        if opening is None:
-                            raise WireFormatError(
-                                "STATE frame token %d has no opening HANDOFF"
-                                % frame.token
-                            )
-                        status = self._import_state(node, opening, frame)
-                        if status == ACK_OK and node._fail_next_ack:
-                            # Crash drill: the destination imported, then
-                            # died before ACKing.  Discard the half-import
-                            # and vanish — the source must roll back, and
-                            # exactly one owner survives.
-                            node._fail_next_ack = False
-                            self._discard_import(node, frame.patient_id)
-                            return
-                        writer.write(
-                            encode_ack(frame.patient_id, frame.token, status, self.fs)
+            async for frame in read_frames(reader, StreamDecoder()):
+                if isinstance(frame, HandoffFrame):
+                    pending[frame.token] = frame
+                    continue
+                if isinstance(frame, StateFrame):
+                    opening = pending.pop(frame.token, None)
+                    if opening is None:
+                        raise WireFormatError(
+                            "STATE frame token %d has no opening HANDOFF" % frame.token
                         )
-                        await writer.drain()
-                        continue
-                    raise WireFormatError(
-                        "unexpected %s on the control plane" % type(frame).__name__
-                    )
+                    status = self._import_state(node, opening, frame)
+                    if status == ACK_OK and node._fail_next_ack:
+                        # Crash drill: the destination imported, then died
+                        # before ACKing.  Discard the half-import and vanish
+                        # — the source must roll back, and exactly one owner
+                        # survives.
+                        node._fail_next_ack = False
+                        self._discard_import(node, frame.patient_id)
+                        return
+                    writer.write(encode_ack(frame.patient_id, frame.token, status, self.fs))
+                    await writer.drain()
+                    continue
+                raise WireFormatError("unexpected %s on the control plane" % type(frame).__name__)
         except WireFormatError:
             self._wire_errors += 1
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await close_writer(writer)
 
     def _import_state(
         self, node: _ClusterNode, opening: HandoffFrame, frame: StateFrame
@@ -558,21 +524,17 @@ class GatewayCluster:
             pass  # nothing was imported (pickled-None state)
 
     async def _read_ack(self, reader: asyncio.StreamReader, token: int) -> AckFrame:
-        decoder = StreamDecoder()
-        while True:
-            data = await reader.read(1 << 16)
-            if not data:
-                raise HandoffError(
-                    "destination closed the control connection before ACKing "
-                    "handoff token %d — state not confirmed, rolling back" % token
-                )
-            for frame in decoder.feed(data):
-                if isinstance(frame, AckFrame) and frame.token == token:
-                    return frame
-                raise HandoffError(
-                    "unexpected %s while awaiting the ACK of handoff token %d"
-                    % (type(frame).__name__, token)
-                )
+        async for frame in read_frames(reader, StreamDecoder()):
+            if isinstance(frame, AckFrame) and frame.token == token:
+                return frame
+            raise HandoffError(
+                "unexpected %s while awaiting the ACK of handoff token %d"
+                % (type(frame).__name__, token)
+            )
+        raise HandoffError(
+            "destination closed the control connection before ACKing "
+            "handoff token %d — state not confirmed, rolling back" % token
+        )
 
     # ---------------------------------------------------------------- handoff
     async def handoff(self, patient_id: int, to_node: int) -> None:
@@ -658,11 +620,7 @@ class GatewayCluster:
                     self._read_ack(reader, token), self.handoff_timeout_s
                 )
             finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
+                await close_writer(writer)
         except asyncio.TimeoutError as exc:
             raise HandoffError(
                 "node %s did not ACK the handoff of patient %d within %gs"
@@ -728,8 +686,11 @@ class GatewayCluster:
             raise ValueError("node %d is not a live node of this cluster" % slot)
         if len(self._nodes) == 1:
             raise ValueError("cannot kill the last node of the cluster")
-        self._retired[node.name] = node.gateway.stats()
         await self._close_node(node)
+        # Archived once the node is closed: frames its open data connections
+        # routed while closing are on this ledger too.
+        self._retired[node.name] = node.gateway.stats()
+        self._wire_errors += node.data.wire_errors
         del self._nodes[slot]
         self.ring, _ = self.ring.without_shards([slot])
         self._node_deaths += 1
@@ -782,6 +743,7 @@ class GatewayCluster:
     # ------------------------------------------------------------------ stats
     def stats(self) -> ClusterStats:
         """Snapshot the cluster-wide ledger (see :class:`ClusterStats`)."""
+        data_plane_errors = sum(node.data.wire_errors for node in self._nodes.values())
         return ClusterStats(
             nodes=len(self._nodes),
             patients=len(self._home),
@@ -791,7 +753,7 @@ class GatewayCluster:
             handoff_failures=self._handoff_failures,
             node_deaths=self._node_deaths,
             decisions=len(self.decisions),
-            wire_errors=self._wire_errors,
+            wire_errors=self._wire_errors + data_plane_errors,
             gateways={
                 node.name: node.gateway.stats()
                 for _, node in sorted(self._nodes.items())

@@ -9,11 +9,12 @@ absorb bursts without corrupting per-patient DSP state or falling over.
 
 * **Transport** — an ``asyncio`` TCP server (:meth:`IngestGateway.serve`)
   accepts any number of node connections, each carrying a raw concatenation
-  of :mod:`repro.serving.wire` frames.  A per-connection
+  of :mod:`repro.serving.wire` DATA frames through :class:`FrameStreamServer`,
+  the serving layer's one connection path.  A per-connection
   :class:`~repro.serving.wire.StreamDecoder` reassembles frames across
-  arbitrary ``read()`` boundaries; a corrupt stream drops that connection
-  only.  In-process producers use :meth:`IngestGateway.submit` (framed
-  bytes) or :meth:`IngestGateway.submit_chunk` (decoded chunks) instead.
+  arbitrary ``read()`` boundaries; corrupt bytes or a control frame drop
+  that connection only.  In-process producers use :meth:`IngestGateway.submit`
+  (framed bytes) or :meth:`IngestGateway.submit_chunk` (decoded chunks).
 * **Per-patient backpressure** — every patient has a bounded frame queue
   (``queue_depth``) with a configurable overflow policy: ``"block"`` holds
   the producer coroutine (TCP flow control propagates to the node),
@@ -21,7 +22,7 @@ absorb bursts without corrupting per-patient DSP state or falling over.
   new one with :class:`BackpressureError`.  Policies are per-patient: one
   chatty node cannot evict another patient's frames.
 * **Draining** — a single pump task moves queued frames into the fleet in
-  global arrival order and polls the fleet's
+  global arrival order (one marker per queued frame) and polls the fleet's
   :class:`~repro.serving.scheduler.DrainPolicy` after every frame (and on an
   idle tick, so a :class:`~repro.serving.scheduler.LatencyPolicy` fires even
   when no new frames arrive).  The fleet's injectable clock keeps that
@@ -56,13 +57,14 @@ import time
 from collections import deque
 from collections.abc import AsyncIterator, Iterable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Awaitable, Callable, Deque, Dict, List, Mapping, Optional
 
 from repro.serving.fleet import decision_sort_key
 from repro.serving.scheduler import DrainPolicy
 from repro.serving.streaming import WindowDecision
 from repro.serving.wire import (
     EcgChunk,
+    Frame,
     SequenceError,
     StreamDecoder,
     WireFormatError,
@@ -75,8 +77,10 @@ if TYPE_CHECKING:  # typing-only: autoscale also type-imports from here
 __all__ = [
     "BACKPRESSURE_POLICIES",
     "BackpressureError",
+    "FrameStreamServer",
     "GatewayStats",
     "IngestGateway",
+    "read_frames",
 ]
 
 #: Recognised per-patient queue overflow policies.
@@ -145,8 +149,7 @@ class GatewayStats:
     autoscale_actions: int = 0
     #: Window decisions per model label (the registry's per-backend
     #: ``describe()`` signature) — the observability half of a heterogeneous
-    #: fleet: which design points are actually doing the classifying.  Empty
-    #: when the fleet does not expose ``model_label_for``.
+    #: fleet: which design points are actually doing the classifying.
     drained_by_model: Mapping[str, int] = field(default_factory=dict)
     #: Lossy mode only: frames dropped at delivery because they fell behind a
     #: gap the stream already skipped past (stale datagrams — e.g. a replay
@@ -191,6 +194,142 @@ class _PatientQueue:
         self.items: Deque[EcgChunk] = deque()
         self.space = asyncio.Event()
         self.space.set()
+
+
+#: Where a front door hands each decoded DATA frame.
+_Submit = Callable[[EcgChunk], Awaitable[None]]
+
+
+async def read_frames(
+    reader: asyncio.StreamReader,
+    decoder: StreamDecoder,
+    on_bytes: Optional[Callable[[int], None]] = None,
+) -> AsyncIterator[Frame]:
+    """The one frame read loop: yield each frame, data or control, that
+    ``reader`` delivers, until EOF or a dropped link; corrupt bytes raise
+    :class:`~repro.serving.wire.WireFormatError`.  ``on_bytes`` is told
+    the size of every read."""
+    while True:
+        try:
+            data = await reader.read(1 << 16)
+        except (ConnectionError, OSError):
+            return
+        if not data:
+            return
+        if on_bytes is not None:
+            on_bytes(len(data))
+        for frame in decoder.feed(data):
+            yield frame
+
+
+async def close_writer(writer: asyncio.StreamWriter) -> None:
+    """Close a stream, ignoring a link that is already gone."""
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):
+        pass
+
+
+class FrameStreamServer:
+    """The serving layer's one path for TCP frame streams, used by
+    :meth:`IngestGateway.serve` and the cluster's data plane: a listening
+    socket and its tracked connections.  Each connection reads its frames
+    through :func:`read_frames` and hands each DATA frame to ``submit`` (a
+    :class:`BackpressureError` is counted where it was raised; the stream
+    goes on).  Corrupt or truncated bytes, a frame ``submit`` refuses as
+    undecodable, or a control frame is a wire error that drops that
+    connection only.
+    """
+
+    def __init__(self) -> None:
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._tasks: set["asyncio.Task[Any]"] = set()
+        self._writers: set[asyncio.StreamWriter] = set()
+        #: Set while :meth:`close` force-closes: the EOF a connection then
+        #: reads is this side's doing, not a truncation by the node.
+        self._forcing = False
+        self.connections = 0
+        self.bytes_received = 0
+        self.wire_errors = 0
+
+    @property
+    def address(self) -> Optional[tuple[str, int]]:
+        """The bound ``(host, port)`` while listening, else ``None``."""
+        return None if self._server is None else self._server.sockets[0].getsockname()[:2]
+
+    async def listen(self, submit: _Submit, host: str, port: int) -> tuple[str, int]:
+        """Start accepting connections; returns the bound ``(host, port)``.
+        Only the listening socket holds ``submit``: a stopped front door
+        and this server form no reference cycle."""
+        if self._server is not None:
+            raise RuntimeError("this front door is already serving")
+        self._forcing = False
+        self._server = await asyncio.start_server(
+            lambda reader, writer: self._handle(submit, reader, writer), host, port
+        )
+        return self._server.sockets[0].getsockname()[:2]
+
+    async def close(
+        self, grace_s: float = 0.0, release: Optional[Callable[[], None]] = None
+    ) -> None:
+        """Stop listening and close every connection: those still open
+        after ``grace_s`` (at once for 0, a crash-stop) are force-closed,
+        after ``release`` lets through any producer a connection is parked
+        on.  Returns once every connection task has finished."""
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+            # A just-accepted connection's task registers itself at its first
+            # step; one loop pass lets not-yet-started ones do that.
+            await asyncio.sleep(0)
+        if self._tasks and grace_s > 0.0:
+            await asyncio.wait(list(self._tasks), timeout=grace_s)
+        if self._tasks:
+            self._forcing = True
+            if release is not None:
+                release()
+            for writer in list(self._writers):
+                writer.close()
+        while self._tasks:
+            await asyncio.gather(*list(self._tasks), return_exceptions=True)
+        if server is not None:
+            # Last: on Python >= 3.12.1 this waits for every connection.
+            await server.wait_closed()
+
+    def _count_bytes(self, n: int) -> None:
+        self.bytes_received += n
+
+    async def _handle(
+        self, submit: _Submit, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        self.connections += 1
+        task = asyncio.current_task()
+        assert task is not None  # a connection callback runs in its own task
+        self._tasks.add(task)
+        self._writers.add(writer)
+        decoder = StreamDecoder()
+        try:
+            async for frame in read_frames(reader, decoder, self._count_bytes):
+                if not isinstance(frame, EcgChunk):
+                    raise WireFormatError(
+                        "%s is a control frame; a data connection carries "
+                        "DATA frames only" % type(frame).__name__
+                    )
+                try:
+                    await submit(frame)
+                except BackpressureError:
+                    pass  # counted where it was refused; the stream goes on
+            if reader.at_eof() and not self._forcing:
+                # The node's own close (not a reset, not a forced close): a
+                # partial buffered frame is then a truncation.
+                decoder.finish()
+        except WireFormatError:
+            self.wire_errors += 1
+        finally:
+            self._tasks.discard(task)
+            self._writers.discard(writer)
+            await close_writer(writer)
 
 
 class IngestGateway:
@@ -279,11 +418,11 @@ class IngestGateway:
         if queue_depth <= 0:
             raise ValueError("queue_depth must be positive")
         self.lossy = bool(lossy)
-        if self.lossy != bool(getattr(fleet, "lossy", False)):
+        if self.lossy != fleet.lossy:
             raise ValueError(
                 "gateway lossy=%r but its fleet was built with lossy=%r — the"
                 " transport mode decides how monitors read seq numbers, so"
-                " the two must match" % (self.lossy, getattr(fleet, "lossy", False))
+                " the two must match" % (self.lossy, fleet.lossy)
             )
         self.fleet = fleet
         self.queue_depth = int(queue_depth)
@@ -300,9 +439,7 @@ class IngestGateway:
         self._queues: Dict[int, _PatientQueue] = {}
         self._order: Deque[int] = deque()
         self._data = asyncio.Event()
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._conn_tasks: set = set()
-        self._conn_writers: set = set()
+        self._streams = FrameStreamServer()
         self._closing_connections = False
         self._pump_task: Optional[asyncio.Task] = None
         self._closing = False
@@ -314,7 +451,6 @@ class IngestGateway:
         self._frames_errored = 0
         self._wire_errors = 0
         self._bytes_received = 0
-        self._connections = 0
         self._queued = 0
         self._max_queue_depth = 0
         self._drains = 0
@@ -378,11 +514,7 @@ class IngestGateway:
         default.  Each accepted connection is an independent frame stream.
         """
         await self.start()
-        if self._server is not None:
-            raise RuntimeError("gateway is already serving")
-        self._server = await asyncio.start_server(self._handle_connection, host, port)
-        sockname = self._server.sockets[0].getsockname()
-        return sockname[0], sockname[1]
+        return await self._streams.listen(self.submit_chunk, host, port)
 
     async def stop(self) -> List[WindowDecision]:
         """Graceful shutdown: drain everything, flush windows, final classify.
@@ -404,33 +536,7 @@ class IngestGateway:
         fleet's previous drain policy restored and every queue intact — a
         later :meth:`stop` retries cleanly.
         """
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-            # A just-accepted connection's handler task registers itself in
-            # _conn_tasks synchronously at its first step; one loop pass lets
-            # not-yet-started handlers do that before we wait on them
-            # (Server.wait_closed only waits for handlers on Python >= 3.12.1).
-            await asyncio.sleep(0)
-        if self._conn_tasks:
-            # While the pump is alive, handlers blocked on a full queue keep
-            # making progress through the grace window.
-            _, stragglers = await asyncio.wait(
-                list(self._conn_tasks), timeout=self.close_grace_s
-            )
-            if stragglers:
-                self._closing_connections = True
-                # Wake producers parked on block-policy backpressure: with a
-                # dead pump nothing else ever would, and closing a transport
-                # does not interrupt an Event wait (see submit_chunk, which
-                # lets them through one-over-bound during forced close).
-                for queue in self._queues.values():
-                    queue.space.set()
-                for writer in list(self._conn_writers):
-                    writer.close()
-        while self._conn_tasks:
-            await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
+        await self._streams.close(self.close_grace_s, self._release_producers)
         self._closing = True
         self._data.set()
         pump, self._pump_task = self._pump_task, None
@@ -504,11 +610,13 @@ class IngestGateway:
         queue = self._queues.get(chunk.patient_id)
         if queue is None:
             queue = self._queues[chunk.patient_id] = _PatientQueue()
+        shed = False
         if len(queue.items) >= self.queue_depth:
             if self.backpressure == "shed-oldest":
                 queue.items.popleft()
                 self._queued -= 1
                 self._frames_shed += 1
+                shed = True
             elif self.backpressure == "reject":
                 self._frames_received += 1
                 self._frames_rejected += 1
@@ -527,49 +635,18 @@ class IngestGateway:
         self._queued += 1
         if len(queue.items) > self._max_queue_depth:
             self._max_queue_depth = len(queue.items)
-        self._order.append(chunk.patient_id)
-        self._maybe_compact_order()
+        if not shed:  # a shed arrival takes over the displaced frame's marker
+            self._order.append(chunk.patient_id)
         self._data.set()
 
-    async def _handle_connection(self, reader, writer) -> None:
-        """One node's connection: reassemble frames, apply backpressure."""
-        self._connections += 1
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        self._conn_writers.add(writer)
-        decoder = StreamDecoder()
-        try:
-            while True:
-                try:
-                    data = await reader.read(1 << 16)
-                except (ConnectionError, OSError):
-                    # The link dropped (or stop() force-closed it): whatever
-                    # frames completed before that are already submitted.
-                    break
-                if not data:
-                    if not self._closing_connections:
-                        # EOF the gateway did not force is the node's own
-                        # close; a partial buffered frame is then truncation.
-                        decoder.finish()
-                    break
-                self._bytes_received += len(data)
-                for chunk in decoder.feed(data):
-                    try:
-                        await self.submit_chunk(chunk)
-                    except BackpressureError:
-                        pass  # recorded in frames_rejected; the stream goes on
-        except WireFormatError:
-            # Framing is gone (or the fs is wrong): this connection is dead,
-            # but the gateway and every other node keep running.
-            self._wire_errors += 1
-        finally:
-            self._conn_tasks.discard(task)
-            self._conn_writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+    def _release_producers(self) -> None:
+        """Wake every ``"block"`` producer parked on a full queue (closing a
+        transport does not interrupt an Event wait, and a dead pump never
+        makes room): each queues its frame one over the bound, and the
+        shutdown flush delivers it."""
+        self._closing_connections = True
+        for queue in self._queues.values():
+            queue.space.set()
 
     # ------------------------------------------------------------- migration
     async def reshard(self, n_shards: int) -> Dict[int, tuple]:
@@ -655,7 +732,7 @@ class IngestGateway:
         queue.items.clear()
         self._queued -= len(taken)
         self._frames_forwarded += len(taken)
-        self._maybe_compact_order()
+        self._order = deque(pid for pid in self._order if pid != patient_id)
         queue.space.set()
         return taken
 
@@ -695,20 +772,8 @@ class IngestGateway:
         gateway's installed drain policy is still restored.
         """
         self._closing = True
-        self._closing_connections = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Wake producers parked on block-policy backpressure: with the pump
-        # about to die nothing else ever would (closing a transport does not
-        # interrupt an Event wait).
-        for queue in self._queues.values():
-            queue.space.set()
-        for writer in list(self._conn_writers):
-            writer.close()
-        while self._conn_tasks:
-            await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
+        self._release_producers()
+        await self._streams.close()
         pump, self._pump_task = self._pump_task, None
         if pump is not None:
             pump.cancel()
@@ -721,30 +786,6 @@ class IngestGateway:
             self._policy_installed = False
 
     # ------------------------------------------------------------------ pump
-    def _maybe_compact_order(self) -> None:
-        """Drop stale markers from the arrival-order deque once they dominate.
-
-        Under sustained shed-oldest pressure (or repeated handoffs) every
-        shed frame leaves one stale marker behind; without compaction the
-        deque grows without bound and every pump scan wades through the
-        corpses.  Compaction keeps, per patient, exactly one marker per
-        queued frame — the leading markers, which are the ones that deliver
-        — so delivery order is untouched.  Synchronous, and only called from
-        synchronous sections, so it can never race the pump mid-delivery.
-        """
-        # Every marker belongs to a queued frame or is stale.
-        stale = len(self._order) - self._queued
-        if stale <= 64 or stale <= self._queued:
-            return
-        live = {pid: len(queue.items) for pid, queue in self._queues.items()}
-        compacted: Deque[int] = deque()
-        for pid in self._order:
-            remaining = live.get(pid, 0)
-            if remaining:
-                compacted.append(pid)
-                live[pid] = remaining - 1
-        self._order = compacted
-
     def _deliver_one(self) -> bool:
         """Move the oldest deliverable queued frame into the fleet.
 
@@ -763,8 +804,6 @@ class IngestGateway:
                     held.append(patient_id)
                     continue
                 queue = self._queues[patient_id]
-                if not queue.items:
-                    continue  # stale marker of a shed or forwarded frame
                 chunk = queue.items.popleft()
                 self._queued -= 1
                 if len(queue.items) < self.queue_depth:
@@ -797,8 +836,7 @@ class IngestGateway:
 
     def _emit(self, decisions: List[WindowDecision]) -> None:
         self.decisions.extend(decisions)
-        label_for = getattr(self.fleet, "model_label_for", None)
-        if label_for is None or not decisions:
+        if not decisions:
             return
         # Per-model drain counts: resolved *now*, against the registry state
         # that just classified these windows (a later hot-swap must not
@@ -808,7 +846,7 @@ class IngestGateway:
             label = labels.get(decision.patient_id)
             if label is None:
                 try:
-                    label = label_for(decision.patient_id)
+                    label = self.fleet.model_label_for(decision.patient_id)
                 except KeyError:  # pragma: no cover - registry raced empty
                     label = "<unmodelled>"
                 labels[decision.patient_id] = label
@@ -883,20 +921,18 @@ class IngestGateway:
         gaps_detected = 0
         windows_reset = 0
         if self.lossy:
-            gap_stats = getattr(self.fleet, "gap_stats", None)
-            if gap_stats is not None:
-                gaps = gap_stats()
-                gaps_detected = gaps.gaps
-                windows_reset = gaps.windows_reset
+            gaps = self.fleet.gap_stats()
+            gaps_detected = gaps.gaps
+            windows_reset = gaps.windows_reset
         return GatewayStats(
             frames_received=self._frames_received,
             frames_delivered=self._frames_delivered,
             frames_shed=self._frames_shed,
             frames_rejected=self._frames_rejected,
             frames_errored=self._frames_errored,
-            wire_errors=self._wire_errors,
-            bytes_received=self._bytes_received,
-            connections=self._connections,
+            wire_errors=self._wire_errors + self._streams.wire_errors,
+            bytes_received=self._bytes_received + self._streams.bytes_received,
+            connections=self._streams.connections,
             patients=len(self._queues),
             queued_frames=self._queued,
             max_queue_depth=self._max_queue_depth,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.dsp.ar import ar_burg, ar_power_spectrum, ar_yule_walker, levinson_durbin
 from repro.dsp.psd import band_power, band_powers, welch_psd
@@ -48,6 +50,25 @@ class TestBurg:
         x = np.random.default_rng(3).standard_normal(100)
         coeffs, _ = ar_burg(x, 9)
         assert coeffs.shape == (9,)
+
+    @given(
+        matrix=arrays(
+            np.float64,
+            st.tuples(st.integers(8, 80), st.integers(2, 4)),
+            elements=st.floats(-1e3, 1e3, allow_nan=False),
+        ),
+        order=st.integers(1, 7),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_memory_layout_does_not_change_the_result(self, matrix, order):
+        """A strided column view and its contiguous copy give the same
+        coefficients and the same noise variance, bit for bit."""
+        view = matrix[:, 0]
+        assert not view.flags.c_contiguous
+        coeffs_view, variance_view = ar_burg(view, order)
+        coeffs_copy, variance_copy = ar_burg(np.ascontiguousarray(view), order)
+        assert coeffs_view.tobytes() == coeffs_copy.tobytes()
+        assert variance_view == variance_copy
 
 
 class TestYuleWalkerAndLevinson:

@@ -46,9 +46,17 @@ the real experiment features:
   calls and C-builtin calls of one warm ``extract_cohort_features`` pass
   (``sys.setprofile``) and pins them exactly.
 
+* **Serving features** — one fleet drain's windows, shaped like a
+  ``replay-64hz-overlap`` drain (18 patients' 60 s windows of raw 64 Hz ECG,
+  on the 15 s grid), featurised the way a drain does it (one
+  ``extract_batch`` call) against window by window (``extract_beats``).
+  Identical feature bits; µs/window and speedup of both are recorded, and
+  the batch's Python and C-builtin calls per window are pinned exactly like
+  the training path's.
+
 ``BENCH_hotpath.json`` next to this file is the committed per-commit record.
-The kernel, detector, feature and training benches refuse to pass when the
-measured speedup falls more than 20% below the committed record, so a
+The kernel, detector, feature, training and serving benches refuse to pass
+when the measured speedup falls more than 20% below the committed record, so a
 regression that erodes the fast path fails CI even while still above its
 absolute bar.  The call counts do not drift with host load, but they are a
 property of the Python and NumPy versions that made them: an upgrade of
@@ -70,7 +78,7 @@ from repro.dsp import peaks
 from repro.dsp.psd import band_powers, welch_psd
 from repro.features.extractor import FeatureExtractor, extract_cohort_features
 from repro.quant import QuantizationConfig, QuantizedSVM
-from repro.serving import PendingWindow, classify_windows
+from repro.serving import PendingWindow, StreamingMonitor, classify_windows
 from repro.signals.dataset import CohortParams, generate_cohort
 from repro.signals.ecg_model import ECGWaveformParams, synthesize_ecg
 from repro.signals.respiration import generate_respiration
@@ -114,6 +122,11 @@ FEATURES_STEP_S = 15.0
 TRAIN_COHORT = CohortParams(
     n_patients=3, n_sessions=6, session_duration_s=1500.0, total_seizures=8, seed=7
 )
+
+#: Serving workload: one drain of the ``replay-64hz-overlap`` shape — one
+#: window from each of 18 patients, on the monitor's 60 s / 15 s grid.
+SERVING_PATIENTS = 18
+SERVING_DURATION_S = 90.0
 
 #: Committed per-commit speedup record (see module docstring).
 HOTPATH_RECORD = Path(__file__).with_name("BENCH_hotpath.json")
@@ -671,7 +684,14 @@ def test_bench_hotpath_train_call_counts():
         "(%.1f / %.1f per window, %d windows)"
         % (python_calls, c_calls, python_calls / n, c_calls / n, n)
     )
-    record = json.loads(HOTPATH_RECORD.read_text())["train"]["calls"]
+    _check_call_counts("train", n, python_calls, c_calls)
+
+
+def _check_call_counts(bench, n, python_calls, c_calls):
+    """Gate the counts exactly against ``BENCH_hotpath.json``'s
+    ``<bench>.calls`` record; skip, with the counts to re-pin, under a
+    Python or NumPy version other than the recorded one."""
+    record = json.loads(HOTPATH_RECORD.read_text())[bench]["calls"]
     pinned = (record["python_version"], record["numpy_version"])
     running = ("%d.%d" % sys.version_info[:2], np.__version__)
     if running != pinned:
@@ -683,6 +703,100 @@ def test_bench_hotpath_train_call_counts():
     assert record["windows"] == n
     pinned_counts = (record["python_calls"], record["c_calls"])
     assert (python_calls, c_calls) == pinned_counts, (
-        "warm extract_cohort_features made %d Python and %d C calls; the "
-        "committed record pins %d and %d" % ((python_calls, c_calls) + pinned_counts)
+        "%s: %d Python and %d C calls; the committed record pins %d and %d"
+        % ((bench, python_calls, c_calls) + pinned_counts)
     )
+
+
+def _serving_drain():
+    """The ``(beats, rr, amplitudes)`` of one drain: each patient's second
+    window (15–75 s), as its monitor queues it."""
+    windowing = WindowingParams(window_s=60.0, step_s=15.0, min_beats=40)
+    frame = int(DETECTOR_FRAME_S * FEATURES_FS)
+    items = []
+    for p in range(SERVING_PATIENTS):
+        ecg = _raw_ecg(500 + p, SERVING_DURATION_S, FEATURES_FS)
+        monitor = StreamingMonitor(p, FEATURES_FS, windowing=windowing)
+        windows = [
+            w for lo in range(0, ecg.size, frame) for w in monitor.push(ecg[lo : lo + frame])
+        ]
+        beats = windows[1].beats
+        items.append((beats.beat_times_s, beats.rr_s, beats.r_amplitudes_mv))
+    return items
+
+
+def _featurize_drain(extractor, items, repeats):
+    for _ in range(repeats):
+        X, kept = extractor.extract_batch(items)
+    return X, kept
+
+
+def _featurize_alone(extractor, items, repeats):
+    for _ in range(repeats):
+        rows = [extractor.extract_beats(*item) for item in items]
+    return rows
+
+
+def _measure_serving(items, repeats=20, pairs=15):
+    extractor = FeatureExtractor()
+    _featurize_drain(extractor, items, 1)
+    _featurize_alone(extractor, items, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        return interleaved_ratio(
+            timed(lambda: _featurize_alone(extractor, items, repeats)),
+            timed(lambda: _featurize_drain(extractor, items, repeats)),
+            pairs,
+        )
+    finally:
+        gc.enable()
+
+
+def test_bench_hotpath_serving(benchmark):
+    items = _serving_drain()
+    repeats = 20
+    speedup, t_alone, t_drain, alone_rows, (X, kept) = run_once(
+        benchmark, _measure_serving, items, repeats
+    )
+
+    n = len(items)
+    alone_us = t_alone / (repeats * n) * 1e6
+    drain_us = t_drain / (repeats * n) * 1e6
+    print()
+    print(
+        "windows per drain         : %d  (%g Hz, %g s every %g s)"
+        % (n, FEATURES_FS, FEATURES_WINDOW_S, FEATURES_STEP_S)
+    )
+    print("window by window          : %8.0f us/window" % alone_us)
+    print("one batch per drain       : %8.0f us/window  (%.2fx)" % (drain_us, speedup))
+    benchmark.extra_info["windows"] = n
+    benchmark.extra_info["per_window_us_per_window"] = alone_us
+    benchmark.extra_info["us_per_window"] = drain_us
+    benchmark.extra_info["speedup"] = speedup
+
+    # Window for window, the same feature bits: every window is usable.
+    assert kept == list(range(n))
+    assert X.tobytes() == np.array(alone_rows).tobytes()
+
+    # Regression gate against the committed record.
+    if HOTPATH_RECORD.exists():
+        record = json.loads(HOTPATH_RECORD.read_text())["serving"]
+        assert record["windows"] == n
+        floor = RECORD_SLACK * record["speedup"]
+        assert speedup >= floor, (
+            "drain featurisation speedup %.2fx regressed more than 20%% below the "
+            "committed record (%.2fx); update benchmarks/BENCH_hotpath.json "
+            "only with a justified trade-off" % (speedup, record["speedup"])
+        )
+
+
+def test_bench_hotpath_serving_call_counts():
+    """Calls per window of one warm drain's ``extract_batch``: the serving
+    feature path's work count, gated exactly like the training path's."""
+    items = _serving_drain()
+    extractor = FeatureExtractor()
+    extractor.extract_batch(items)
+    extractor.extract_batch(items)
+    python_calls, c_calls = _count_calls(lambda: extractor.extract_batch(items))
+    _check_call_counts("serving", len(items), python_calls, c_calls)

@@ -53,12 +53,15 @@ DEFAULT_SNAPSHOT_REGISTRY: Dict[str, SnapshotSpec] = {
     # Version 3: the lossy transport mode added the gap counters
     # ``MonitorState.n_gaps`` / ``MonitorState.windows_lost`` and the
     # adaptive-level seed anchor ``PeakDetectorState.seed_from`` (where the
-    # post-gap level re-seed window starts).  The nested states share the
-    # guard constant, so all three entries are re-pinned at the bumped
-    # version (``WindowerState``'s fields are unchanged since version 2).
+    # post-gap level re-seed window starts).  Version 4: pending windows
+    # carry their beat arrays until a drain featurises them, and
+    # ``MonitorState.n_usable`` is gone.  The nested states share the guard
+    # constant, so all three entries are re-pinned at the bumped version
+    # (``PeakDetectorState``'s fields are unchanged since version 3,
+    # ``WindowerState``'s since version 2).
     "MonitorState": SnapshotSpec(
         version_const="MONITOR_STATE_VERSION",
-        version=3,
+        version=4,
         fields=(
             "version",
             "patient_id",
@@ -67,7 +70,6 @@ DEFAULT_SNAPSHOT_REGISTRY: Dict[str, SnapshotSpec] = {
             "windower",
             "sequence",
             "n_windows",
-            "n_usable",
             "pending",
             "n_gaps",
             "windows_lost",
@@ -75,7 +77,7 @@ DEFAULT_SNAPSHOT_REGISTRY: Dict[str, SnapshotSpec] = {
     ),
     "PeakDetectorState": SnapshotSpec(
         version_const="MONITOR_STATE_VERSION",
-        version=3,
+        version=4,
         fields=(
             "fs",
             "params",
@@ -90,7 +92,7 @@ DEFAULT_SNAPSHOT_REGISTRY: Dict[str, SnapshotSpec] = {
     ),
     "WindowerState": SnapshotSpec(
         version_const="MONITOR_STATE_VERSION",
-        version=3,
+        version=4,
         fields=(
             "params",
             "beat_times_s",

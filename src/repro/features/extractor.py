@@ -13,22 +13,23 @@ dropped rather than imputed, mirroring how unusable clinical windows are
 discarded by quality checks.
 
 Two entry points share the per-window checks and the 1-D feature functions.
-:meth:`FeatureExtractor.extract_beats` featurises one window; the streaming
-monitor calls it on every window it emits.
-:meth:`FeatureExtractor.extract_batch` featurises many windows at once, and
-:func:`extract_cohort_features` sends a whole training cohort through it:
-the checks, the HRV time-domain and Lorenz moments and the resample grids
-run per window, then the windows are grouped by the length of their EDR
-series and of their RR tachogram, and each group runs the EDR detrend, Burg
-and the two Welch estimates as row kernels
+:meth:`FeatureExtractor.extract_beat_window` featurises one window through
+the per-window chain (:meth:`~FeatureExtractor.extract_beats` and
+:meth:`~FeatureExtractor.extract_window` are the same chain on loose arrays
+and on a recording's window).  :meth:`FeatureExtractor.extract_batch`
+featurises many windows at once: the training cohort
+(:func:`extract_cohort_features`) and every serving drain
+(:func:`repro.serving.streaming.featurise`) send their windows through it.
+It groups the windows by the length of their EDR series.  A window alone in
+its group gains nothing from a row kernel and runs the per-window chain; the
+others run the checks, the HRV time-domain and Lorenz moments and the
+resample grids per window, then, per group of equal EDR (or RR tachogram)
+length, the EDR detrend, Burg and the two Welch estimates as row kernels
 (:func:`~repro.dsp.filters.detrend_rows`, :func:`~repro.dsp.ar.ar_burg_rows`,
 :func:`~repro.dsp.psd.welch_band_powers_rows`), at most ``_CHUNK_ROWS`` rows
 per call.  The 180 s training windows' series come in a handful of lengths,
-so that replaces ~180 sets of per-window kernel calls with a few dozen.  One
-window at a time the per-window chain is the faster one: routing
-:meth:`~FeatureExtractor.extract_beats` through a one-window batch costs a
-serving window ~25% more CPU time, and one-row wrappers of the row kernels
-~13%, so serving keeps it.
+so that replaces ~180 sets of per-window kernel calls with a few dozen; a
+serving drain of 60 s windows holds groups of one to a few rows.
 """
 
 from __future__ import annotations
@@ -66,6 +67,13 @@ __all__ = [
 #: matched the per-window extractor's at 12 rows; 16 rows raised it by
 #: ~0.15 MB and 32 rows by ~0.6 MB, with no measurable difference in time.
 _CHUNK_ROWS = 12
+
+#: Fewest windows of equal EDR series length that run the row kernels in
+#: :meth:`FeatureExtractor.extract_batch`.  A window alone in its length group
+#: runs :meth:`FeatureExtractor.extract_beat_window` instead: one-row calls
+#: of the row kernels cost a 60 s serving window ~13% more CPU time than the
+#: 1-D kernels.
+_MIN_ROWS = 2
 
 
 def _columns(group: FeatureGroup) -> slice:
@@ -177,21 +185,16 @@ class FeatureExtractor:
         return self.extract_beats(*_window_arrays(recording, window))
 
     def extract_beat_window(self, window: BeatWindow) -> np.ndarray:
-        """Feature vector of a streaming window."""
-        return self.extract_beats(window.beat_times_s, window.rr_s, window.r_amplitudes_mv)
+        """Feature vector of one window, through the per-window chain.
 
-    def extract_beats(
-        self, beats: np.ndarray, rr: np.ndarray, amplitudes: np.ndarray
-    ) -> np.ndarray:
-        """Feature vector from raw per-window beat arrays.
-
-        This is the self-contained core of :meth:`extract_window`; the
-        streaming engine calls it directly on the
-        :class:`~repro.signals.windows.BeatWindow` payloads it assembles,
-        without a full :class:`~repro.signals.dataset.Recording` in hand.
-        Raises ``ValueError`` if the window is unusable.
+        Every window featurised alone runs here: :meth:`extract_beats`,
+        :meth:`extract_window` and the windows :meth:`extract_batch` finds
+        alone in their length group.  Only the window's beat arrays are
+        read.  Raises ``ValueError`` if the window is unusable.
         """
-        beats, rr, amplitudes = _beat_arrays(beats, rr, amplitudes)
+        beats, rr, amplitudes = _beat_arrays(
+            window.beat_times_s, window.rr_s, window.r_amplitudes_mv
+        )
         fs = self.params.edr_fs
         _, edr = edr_series_from_amplitudes(beats, amplitudes, fs=fs)
         vector = np.concatenate(
@@ -200,6 +203,17 @@ class FeatureExtractor:
         if not np.isfinite(vector).all():
             raise ValueError("non-finite feature value in window")
         return vector
+
+    def extract_beats(
+        self, beats: np.ndarray, rr: np.ndarray, amplitudes: np.ndarray
+    ) -> np.ndarray:
+        """Feature vector from raw per-window beat arrays: the
+        :meth:`extract_beat_window` chain, without a
+        :class:`~repro.signals.windows.BeatWindow` or a
+        :class:`~repro.signals.dataset.Recording` in hand.  Raises
+        ``ValueError`` if the window is unusable.
+        """
+        return self.extract_beat_window(BeatWindow(0.0, 0.0, beats, rr, amplitudes))
 
     def extract_batch(
         self, items: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -211,9 +225,11 @@ class FeatureExtractor:
         callers can map the rows back onto their windows.  A window's row
         and verdict do not depend on the other windows of the batch.
 
-        Per window: the beat-count and resample checks, the HRV time-domain
-        and Lorenz features, and the grids of the EDR series and the RR
-        tachogram.  Then per group of windows whose EDR series (or
+        Per window: the beat-count and resample checks and the grid of the
+        EDR series.  A window whose EDR series length no other window of the
+        batch shares runs :meth:`extract_beat_window`.  The others get their
+        HRV time-domain and Lorenz features and the grid of their RR
+        tachogram per window, then per group of windows whose EDR series (or
         tachograms) have equal length, drawn from the whole batch and run
         ``_CHUNK_ROWS`` rows at a time: the resamples and moving averages
         (still one call per window, as ``np.interp`` and ``np.convolve``
@@ -225,15 +241,25 @@ class FeatureExtractor:
         shorter than 8 samples, gets an LF/HF ratio of 0.0.  These are the
         verdicts :meth:`extract_beats` reaches window by window.
         """
+        if len(items) < _MIN_ROWS:
+            # No group can reach the row kernels.  Skipping the grouping
+            # keeps a one-window drain at the per-window chain's cost: its
+            # bookkeeping would add ~10% CPU time.
+            vectors = []
+            kept = []
+            for idx, item in enumerate(items):
+                try:
+                    vectors.append(self.extract_beats(*item))
+                except ValueError:
+                    continue
+                kept.append(idx)
+            return np.reshape(vectors, (len(kept), N_FEATURES)), kept
         fs = self.params.edr_fs
         X = np.empty((len(items), N_FEATURES))
         usable = np.zeros(len(items), dtype=bool)
-        windows = []
+        windows: List[Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
         # Series length -> [(window index, grid start)].
         edr_groups: Dict[int, List[Tuple[int, float]]] = {}
-        tachogram_groups: Dict[int, List[Tuple[int, float]]] = {}
-        # Window index -> its tachogram's sample times.
-        tachogram_times: Dict[int, np.ndarray] = {}
         for idx, item in enumerate(items):
             try:
                 beats, rr, amplitudes = _beat_arrays(*item)
@@ -242,17 +268,33 @@ class FeatureExtractor:
                 windows.append(None)
                 continue
             windows.append((beats, rr, amplitudes))
-            X[idx, _HRV_TIME] = hrv_time_domain(rr)
-            X[idx, _LORENZ] = lorenz_features(rr)
-            try:
-                times, tachogram_start, tachogram_n = tachogram_grid(rr, beats)
-            except ValueError:
-                X[idx, _LF_HF] = 0.0
-            else:
-                tachogram_times[idx] = times
-                tachogram_groups.setdefault(tachogram_n, []).append((idx, tachogram_start))
             edr_groups.setdefault(edr_n, []).append((idx, edr_start))
-            usable[idx] = True
+
+        tachogram_groups: Dict[int, List[Tuple[int, float]]] = {}
+        # Window index -> its tachogram's sample times.
+        tachogram_times: Dict[int, np.ndarray] = {}
+        for n, members in list(edr_groups.items()):
+            if len(members) < _MIN_ROWS:
+                del edr_groups[n]
+                for idx, _ in members:
+                    try:
+                        X[idx] = self.extract_beats(*windows[idx])
+                    except ValueError:
+                        continue
+                    usable[idx] = True
+                continue
+            for idx, _ in members:
+                beats, rr, _ = windows[idx]
+                X[idx, _HRV_TIME] = hrv_time_domain(rr)
+                X[idx, _LORENZ] = lorenz_features(rr)
+                try:
+                    times, tachogram_start, tachogram_n = tachogram_grid(rr, beats)
+                except ValueError:
+                    X[idx, _LF_HF] = 0.0
+                else:
+                    tachogram_times[idx] = times
+                    tachogram_groups.setdefault(tachogram_n, []).append((idx, tachogram_start))
+                usable[idx] = True
 
         for n, chunk in _chunks(edr_groups):
             rows = [idx for idx, _ in chunk]

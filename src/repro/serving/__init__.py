@@ -13,9 +13,10 @@ figure stage by stage:
         │  :class:`repro.signals.windows.StreamingWindower`
         │  (incremental three-minute window assembly)
         ▼
-    per-window beat data
-        │  :meth:`repro.features.extractor.FeatureExtractor.extract_beats`
-        │  (HRV + Lorenz + AR-of-EDR + PSD-of-EDR — the 53 features)
+    per-window beat data, queued until a drain
+        │  :meth:`repro.features.extractor.FeatureExtractor.extract_batch`
+        │  (HRV + Lorenz + AR-of-EDR + PSD-of-EDR — the 53 features, for
+        │   every window of the drain in one call)
         ▼
     feature vectors
         │  :class:`~repro.svm.model.SVMModel` /
@@ -29,9 +30,10 @@ Entry points, smallest to largest deployment:
 * :class:`~repro.serving.streaming.StreamingMonitor` — one patient, one
   ECG stream, chunk in / decisions out;
 * :class:`~repro.serving.fleet.MonitorFleet` — many concurrent patients;
-  pending windows from all monitors are classified in a *single* vectorised
-  SVM call per drain, which is what lets one server keep up with a fleet of
-  body sensor nodes (see ``benchmarks/test_bench_serving.py``);
+  pending windows from all monitors are featurised in one batch and
+  classified in a *single* vectorised SVM call per drain, which is what lets
+  one server keep up with a fleet of body sensor nodes (see
+  ``benchmarks/test_bench_serving.py``);
 * :class:`~repro.serving.sharding.ShardedFleet` — N consistent-hash-routed
   fleet shards behind the same interface, every shard call run on the
   caller's thread, decision-for-decision identical to a single fleet

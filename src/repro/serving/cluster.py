@@ -300,6 +300,9 @@ class GatewayCluster:
         #: Frames routed-and-queued per patient since their last checkpoint
         #: — the write-ahead log replayed when their node dies.
         self._wal: Dict[int, List[EcgChunk]] = {}
+        #: Orphans of a dead node whose write-ahead log is being replayed on
+        #: their new owner; their new frames wait for the replay's event.
+        self._replays: Dict[int, asyncio.Event] = {}
         #: Decisions harvested by cluster drains, canonical order at stop().
         self.decisions: List[WindowDecision] = []
         self._retired: Dict[str, GatewayStats] = {}
@@ -442,9 +445,15 @@ class GatewayCluster:
         ``frames_routed`` counts every routed frame at its terminal outcome
         (queued, rejected or errored — mirroring the gateway's own
         ``frames_received``), and a successfully queued frame is appended to
-        the patient's write-ahead log so a node death cannot lose it.
+        the patient's write-ahead log so a node death cannot lose it.  A
+        frame for a dead node's patient waits until :meth:`kill_node` has
+        replayed that patient's log on their new owner, so it arrives after
+        the replayed frames.
         """
         patient_id = int(chunk.patient_id)
+        replay = self._replays.get(patient_id)
+        if replay is not None:
+            await replay.wait()
         slot = self._home.get(patient_id)
         if slot is None:
             slot = self.ring.shard_of(patient_id)
@@ -675,10 +684,12 @@ class GatewayCluster:
         and each of its patients revives on their new ring owner: last
         checkpointed :class:`~repro.serving.streaming.MonitorState` attached
         (:mod:`repro.serving.migration`), then their write-ahead frames replayed in arrival order
-        (``frames_replayed``).  Under the ``"block"`` policy the revived
-        patient is bit-identical to one that never crashed, because
-        checkpoints are taken at every drain — nothing since the checkpoint
-        had been emitted.  Returns the revived patient ids.
+        (``frames_replayed``).  A frame submitted for one of them meanwhile
+        waits for their replay, then follows it.  Under the ``"block"``
+        policy the revived patient is bit-identical to one that never
+        crashed, because checkpoints are taken at every drain — nothing
+        since the checkpoint had been emitted.  Returns the revived patient
+        ids.
         """
         slot = int(slot)
         node = self._nodes.get(slot)
@@ -695,19 +706,31 @@ class GatewayCluster:
         self.ring, _ = self.ring.without_shards([slot])
         self._node_deaths += 1
         orphans = sorted(pid for pid, home in self._home.items() if home == slot)
-        revived = []
+        # Every orphan is re-homed before the first replay can park on a
+        # full queue; their new frames wait for their own replay.
         for pid in orphans:
-            blob = self._checkpoint.get(pid)
-            state = pickle.loads(blob) if blob is not None else None
-            if state is not None:
-                revived.append(migration.Detached(pid, slot, self.ring.shard_of(pid), state, 0.0))
-        migration.attach(revived, self._import_at)
-        for patient_id in orphans:
-            dest = self._nodes[self.ring.shard_of(patient_id)]
-            self._home[patient_id] = dest.slot
-            for chunk in self._wal.get(patient_id, ()):
-                await dest.gateway.submit_chunk(chunk)
-                self._frames_replayed += 1
+            self._home[pid] = self.ring.shard_of(pid)
+            self._replays[pid] = asyncio.Event()
+        try:
+            revived = []
+            for pid in orphans:
+                blob = self._checkpoint.get(pid)
+                state = pickle.loads(blob) if blob is not None else None
+                if state is not None:
+                    revived.append(migration.Detached(pid, slot, self._home[pid], state, 0.0))
+            migration.attach(revived, self._import_at)
+            for patient_id in orphans:
+                dest = self._nodes[self._home[patient_id]]
+                for chunk in self._wal.get(patient_id, ()):
+                    await dest.gateway.submit_chunk(chunk)
+                    self._frames_replayed += 1
+                self._replays.pop(patient_id).set()
+        finally:
+            # A failed revival must not strand the frames waiting on it.
+            for patient_id in orphans:
+                replay = self._replays.pop(patient_id, None)
+                if replay is not None:
+                    replay.set()
         return orphans
 
     # ------------------------------------------------------------------ drain

@@ -4,11 +4,13 @@ A server receiving ECG chunks from many body sensor nodes should not run one
 SVM evaluation per window: the per-call Python and quantisation overhead
 dominates at fleet scale.  :class:`MonitorFleet` keeps one
 :class:`~repro.serving.streaming.StreamingMonitor` per patient, accumulates
-the windows they complete and, on :meth:`MonitorFleet.drain`, classifies the
-pending windows of *all* patients in one vectorised call per model group —
-on the fixed-point models this is one int64 matrix pipeline per group for
-the whole batch, bit-identical to the per-window loop (see
-``tests/test_serving.py``).
+the windows they complete and, on :meth:`MonitorFleet.drain`, featurises the
+pending windows of *all* patients in one
+:meth:`~repro.features.extractor.FeatureExtractor.extract_batch` call
+(:func:`~repro.serving.streaming.featurise`), then classifies them in one
+vectorised call per model group — on the fixed-point models this is one
+int64 matrix pipeline per group for the whole batch, bit-identical to the
+per-window loop (see ``tests/test_serving.py``).
 
 Which model classifies whom is a
 :class:`~repro.serving.registry.ModelRegistry` decision: a fleet built from
@@ -47,6 +49,7 @@ from repro.serving.streaming import (
     PendingWindow,
     StreamingMonitor,
     WindowDecision,
+    featurise,
 )
 from repro.serving.wire import decode_chunk_checked
 from repro.signals.windows import WindowingParams
@@ -288,7 +291,6 @@ class MonitorFleet:
                 windower=None,
                 sequence=None,
                 n_windows=0,
-                n_usable=0,
             )
         return replace(state, pending=queued)
 
@@ -405,7 +407,8 @@ class MonitorFleet:
 
         This is the replay / offload entry point: windows featurised
         elsewhere (an edge node, a recorded session, a benchmark) join the
-        same batched classification path as live streams.
+        same batched classification path as live streams, and the drain's
+        featurisation passes them through unchanged.
 
         Unknown patients follow the same ``auto_register`` contract as
         :meth:`push`: with ``auto_register=False`` a window for a patient
@@ -481,7 +484,9 @@ class MonitorFleet:
         return self._drain(stats)
 
     def drain(self) -> List[WindowDecision]:
-        """Classify every pending window, one batched SVM call per model group.
+        """Featurise and classify every pending window: one
+        :func:`~repro.serving.streaming.featurise` batch, then one batched
+        SVM call per model group.
 
         Windows are grouped by the backend the registry resolves for their
         patient and every group is classified with a single vectorised call;
@@ -492,9 +497,10 @@ class MonitorFleet:
         return self._drain(self.stats())
 
     def _drain(self, stats: DrainStats) -> List[WindowDecision]:
-        # Classify BEFORE popping the queue: if the classifier raises, every
-        # window stays pending and the drain can be retried — a failed drain
-        # must never lose seizure-alarm windows.
+        # Featurise and classify BEFORE popping the queue: if the classifier
+        # raises, every window stays pending (featurised) and the drain can be
+        # retried — a failed drain must never lose seizure-alarm windows.
+        featurise(self._pending)
         decisions = classify_grouped(self.registry.backend_for, self._pending)
         self._pending = []
         self._chunks_since_drain = 0

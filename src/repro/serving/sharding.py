@@ -4,9 +4,10 @@ One :class:`~repro.serving.fleet.MonitorFleet` is one worker's worth of
 patients.  :class:`ShardedFleet` scales the same interface across N such
 shards: every chunk is routed by a :class:`HashRing` (consistent hashing of
 the patient id, stable across runs and processes, minimal reassignment when
-the shard count changes), each shard streams and featurises its own patients
-independently, and drains merge the per-shard batched classifications into
-one canonically ordered decision list.
+the shard count changes), each shard streams its own patients
+independently, and a drain featurises every shard's queued windows in one
+batch, then merges the per-shard batched classifications into one
+canonically ordered decision list.
 
 The headline guarantee — enforced by the parity fuzz suite in
 ``tests/test_serving_sharding.py`` — is that sharding is *invisible* in the
@@ -49,7 +50,13 @@ from repro.serving import migration
 from repro.serving.fleet import MonitorFleet, decision_sort_key, run_streams
 from repro.serving.registry import InferenceBackend, ModelRegistry
 from repro.serving.scheduler import DrainPolicy, DrainStats
-from repro.serving.streaming import GapStats, MonitorState, PendingWindow, WindowDecision
+from repro.serving.streaming import (
+    GapStats,
+    MonitorState,
+    PendingWindow,
+    WindowDecision,
+    featurise,
+)
 from repro.serving.wire import decode_chunk_checked
 from repro.signals.windows import WindowingParams
 
@@ -645,6 +652,11 @@ class ShardedFleet:
     def drain(self) -> List[WindowDecision]:
         """Drain every shard (one batched SVM call each); merge canonically.
 
+        Every shard's queued windows are featurised first, together, in one
+        :func:`~repro.serving.streaming.featurise` batch: the row kernels
+        group windows by series length, and more windows share a length
+        across all shards than within one.
+
         Decisions are returned in :func:`~repro.serving.fleet.decision_sort_key`
         order, independent of the shard layout.  If a shard fails, its
         windows stay queued there (each shard's drain is atomic — see
@@ -655,6 +667,7 @@ class ShardedFleet:
         return self._drain(self.stats())
 
     def _drain(self, stats: DrainStats) -> List[WindowDecision]:
+        featurise(window for shard in self._shards for window in shard._pending)
         decisions: List[WindowDecision] = []
         errors: Dict[int, Exception] = {}
         for shard, fleet in enumerate(self._shards):

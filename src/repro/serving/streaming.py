@@ -1,27 +1,32 @@
 """Single-patient streaming monitor: ECG chunks in, window decisions out.
 
-:class:`StreamingMonitor` chains the incremental R-peak detector, the
-incremental windower and the per-window feature extractor.  It deliberately
-*separates* feature extraction from classification: :meth:`StreamingMonitor.push`
-returns :class:`PendingWindow` objects (feature vectors awaiting a verdict) so
-that a :class:`~repro.serving.fleet.MonitorFleet` can pool pending windows from
-many patients into one batched SVM call.  A monitor never classifies: a
+:class:`StreamingMonitor` chains the incremental R-peak detector and the
+incremental windower.  It neither featurises nor classifies:
+:meth:`StreamingMonitor.push` returns :class:`PendingWindow` objects that
+carry their window's beat arrays, so that a
+:class:`~repro.serving.fleet.MonitorFleet` can pool the windows of many
+patients and featurise them *where it classifies them*: a drain sends every
+queued window through one
+:meth:`~repro.features.extractor.FeatureExtractor.extract_batch` call
+(:func:`featurise`), then through one batched SVM call per model group.  A
 window gets its verdict from a fleet drain, or from an explicit
 :func:`classify_windows` call on the windows :meth:`StreamingMonitor.push`
-returned.
+returned, which featurises them the same way.  Featurised windows drop their
+beat arrays, and a drain whose classifier raises keeps them queued
+featurised, so a retry reads the same features.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dsp.peaks import PanTompkinsParams, PeakDetectorState, StreamingPeakDetector
 from repro.features.extractor import FeatureExtractor
 from repro.serving.wire import SequenceTracker
-from repro.signals.windows import StreamingWindower, WindowerState, WindowingParams
+from repro.signals.windows import BeatWindow, StreamingWindower, WindowerState, WindowingParams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.serving.registry import InferenceBackend
@@ -34,6 +39,7 @@ __all__ = [
     "WindowDecision",
     "StreamingMonitor",
     "classify_windows",
+    "featurise",
 ]
 
 #: Version stamp of :class:`MonitorState`; bumped on any incompatible change
@@ -41,8 +47,14 @@ __all__ = [
 #: produced by a different serving build.  Version 2: the ring-buffer
 #: windower added ``WindowerState.base_beat_index``.  Version 3: the lossy
 #: transport mode added ``MonitorState.n_gaps`` / ``windows_lost`` and
-#: ``PeakDetectorState.seed_from``.
-MONITOR_STATE_VERSION = 3
+#: ``PeakDetectorState.seed_from``.  Version 4: pending windows carry their
+#: beat arrays until a drain featurises them, and ``MonitorState.n_usable``
+#: is gone (usability is known only once a window is featurised).
+MONITOR_STATE_VERSION = 4
+
+#: The serving stack's feature extractor: stateless, so one serves every
+#: monitor and every drain.
+_EXTRACTOR = FeatureExtractor()
 
 
 @dataclass(frozen=True)
@@ -66,21 +78,85 @@ class GapStats:
         )
 
 
-@dataclass(frozen=True)
 class PendingWindow:
-    """A completed analysis window waiting for a classifier verdict."""
+    """A completed analysis window waiting for a classifier verdict.
 
-    patient_id: int
-    start_s: float
-    end_s: float
-    n_beats: int
-    #: The 53-entry feature vector, or ``None`` when the window was unusable
-    #: (too few beats, degenerate EDR segment, non-finite feature).
-    features: Optional[np.ndarray]
+    A monitor's window carries its :class:`~repro.signals.windows.BeatWindow`
+    (``beats``) until it is featurised: by a fleet drain or
+    :func:`classify_windows`, through :func:`featurise`, or on first reading
+    of :attr:`features`.  Featurising drops the beat arrays.  A window built
+    with ``features`` (a replayed or offloaded window, see
+    ``MonitorFleet.enqueue``) is featurised from the start, and one built
+    with neither is unusable.  Treat instances as immutable values:
+    featurising fills in :attr:`features` and changes nothing observable.
+    """
+
+    __slots__ = ("patient_id", "start_s", "end_s", "n_beats", "_features", "_beats")
+
+    def __init__(
+        self,
+        patient_id: int,
+        start_s: float,
+        end_s: float,
+        n_beats: int,
+        features: Optional[np.ndarray] = None,
+        beats: Optional[BeatWindow] = None,
+    ) -> None:
+        self.patient_id = patient_id
+        self.start_s = start_s
+        self.end_s = end_s
+        self.n_beats = n_beats
+        self._features = features
+        self._beats = None if features is not None else beats
+
+    @property
+    def features(self) -> Optional[np.ndarray]:
+        """The 53-entry feature vector, or ``None`` when the window is
+        unusable (too few beats, degenerate EDR segment, non-finite
+        feature)."""
+        if self._beats is not None:
+            featurise((self,))
+        return self._features
 
     @property
     def usable(self) -> bool:
         return self.features is not None
+
+    @property
+    def beats(self) -> Optional[BeatWindow]:
+        """The window's beat arrays while it waits for :func:`featurise`;
+        ``None`` once featurised, or when it never had any to featurise."""
+        return self._beats
+
+    def __repr__(self) -> str:
+        return "PendingWindow(patient_id=%r, start_s=%r, end_s=%r, n_beats=%r, %s)" % (
+            self.patient_id,
+            self.start_s,
+            self.end_s,
+            self.n_beats,
+            "awaiting features" if self._beats is not None else "features=%r" % (self._features,),
+        )
+
+
+def featurise(windows: Iterable[PendingWindow]) -> None:
+    """Featurise every window that still carries its beat arrays, with one
+    :meth:`~repro.features.extractor.FeatureExtractor.extract_batch` call.
+
+    Each window's features are bit for bit the ones
+    :meth:`~repro.features.extractor.FeatureExtractor.extract_beats` gives
+    it alone, whatever else the batch holds.  Featurised windows drop their
+    beat arrays; windows featurised already pass through untouched.
+    """
+    todo = [(window, beats) for window in windows if (beats := window._beats) is not None]
+    if not todo:
+        return
+    X, kept = _EXTRACTOR.extract_batch(
+        [(beats.beat_times_s, beats.rr_s, beats.r_amplitudes_mv) for _, beats in todo]
+    )
+    for window, _ in todo:
+        window._beats = None
+    for index, row in zip(kept, X):
+        todo[index][0]._features = row
 
 
 @dataclass(frozen=True)
@@ -127,8 +203,8 @@ class MonitorState:
     * the :class:`~repro.signals.windows.StreamingWindower` partial buffers
       (:class:`~repro.signals.windows.WindowerState`),
     * the :class:`~repro.serving.wire.SequenceTracker` position, and
-    * the already-featurised :class:`PendingWindow` queue entries awaiting a
-      classifier verdict (filled in by
+    * the :class:`PendingWindow` queue entries awaiting a classifier verdict,
+      with their beat arrays until a drain featurises them (filled in by
       :meth:`~repro.serving.fleet.MonitorFleet.export_patient`; empty on a
       bare :meth:`StreamingMonitor.snapshot`).
 
@@ -145,7 +221,6 @@ class MonitorState:
     windower: Optional[WindowerState]
     sequence: Optional[Tuple[int, int]]
     n_windows: int
-    n_usable: int
     pending: Tuple[PendingWindow, ...] = ()
     #: Lossy-mode gap accounting (both stay 0 on strict transports): gaps the
     #: monitor absorbed via ``note_gap`` and grid windows those resets
@@ -170,7 +245,6 @@ class MonitorState:
             and self.windower == other.windower
             and self.sequence == other.sequence
             and self.n_windows == other.n_windows
-            and self.n_usable == other.n_usable
             and _pending_equal(self.pending, other.pending)
             and self.n_gaps == other.n_gaps
             and self.windows_lost == other.windows_lost
@@ -180,32 +254,37 @@ class MonitorState:
 def classify_windows(
     backend: InferenceBackend, pending: Sequence[PendingWindow]
 ) -> List[WindowDecision]:
-    """Classify a batch of pending windows with one vectorised call.
+    """Featurise and classify a batch of pending windows, one vectorised
+    call each.
 
-    ``backend`` is an :class:`~repro.serving.registry.InferenceBackend`: all
-    usable windows are stacked into a single feature matrix and scored by
-    one ``scores_and_labels`` call, so on the fixed-point model the labels
-    are bit-identical to a per-window loop.  Unusable windows yield
+    Windows still carrying their beat arrays are featurised first, all in
+    one :func:`featurise` call.  ``backend`` is an
+    :class:`~repro.serving.registry.InferenceBackend`: all usable windows
+    are stacked into a single feature matrix and scored by one
+    ``scores_and_labels`` call, so on the fixed-point model the labels are
+    bit-identical to a per-window loop.  Unusable windows yield
     ``alarm=False`` decisions with no score.  Decisions come back in the
     order of ``pending``.
     """
-    usable = [window for window in pending if window.usable]
+    featurise(pending)
+    usable = [window for window in pending if window._features is not None]
     if usable:
         # One preallocated batch matrix filled row by row (the feature
         # vectors are scattered across PendingWindow objects, so a copy is
         # unavoidable — but np.vstack would build the same copy *plus* a
         # temporary tuple of row views).
-        first = np.asarray(usable[0].features)
+        first = np.asarray(usable[0]._features)
         X = np.empty((len(usable), first.shape[0]), dtype=first.dtype)
         for row, window in enumerate(usable):
-            X[row] = window.features
+            X[row] = window._features
         scores, labels = backend.scores_and_labels(X)
     decisions: List[WindowDecision] = []
     row = 0
     for window in pending:
         score: Optional[float] = None
         alarm = False
-        if window.usable:
+        usable_window = window._features is not None
+        if usable_window:
             score = float(scores[row])
             alarm = bool(labels[row] == 1)
             row += 1
@@ -215,7 +294,7 @@ def classify_windows(
                 start_s=window.start_s,
                 end_s=window.end_s,
                 n_beats=window.n_beats,
-                usable=window.usable,
+                usable=usable_window,
                 score=score,
                 alarm=alarm,
             )
@@ -246,12 +325,10 @@ class StreamingMonitor:
     """
 
     #: Not captured by :meth:`snapshot`, and pinned so by the
-    #: ``snapshot-completeness`` rule of :mod:`repro.analysis`: the feature
-    #: extractor is stateless (a revived monitor builds a fresh one that
-    #: computes every window identically) and ``lossy`` is transport
-    #: configuration owned by the fleet (a whole fleet is lossy or strict,
-    #: never patient by patient), reapplied by ``from_snapshot``.
-    _SNAPSHOT_EXCLUDE = ("_extractor", "lossy")
+    #: ``snapshot-completeness`` rule of :mod:`repro.analysis`: ``lossy`` is
+    #: transport configuration owned by the fleet (a whole fleet is lossy or
+    #: strict, never patient by patient), reapplied by ``from_snapshot``.
+    _SNAPSHOT_EXCLUDE = ("lossy",)
 
     def __init__(
         self,
@@ -266,10 +343,8 @@ class StreamingMonitor:
         self.lossy = bool(lossy)
         self._detector = StreamingPeakDetector(self.fs, detector_params)
         self._windower = StreamingWindower(windowing)
-        self._extractor = FeatureExtractor()
         self._sequence = SequenceTracker()
         self._n_windows = 0
-        self._n_usable = 0
         self._n_gaps = 0
         self._windows_lost = 0
 
@@ -282,10 +357,6 @@ class StreamingMonitor:
     def n_windows(self) -> int:
         """Number of windows emitted so far (usable or not)."""
         return self._n_windows
-
-    @property
-    def n_usable_windows(self) -> int:
-        return self._n_usable
 
     @property
     def last_seq(self) -> Optional[int]:
@@ -321,7 +392,6 @@ class StreamingMonitor:
             windower=self._windower.snapshot(),
             sequence=self._sequence.snapshot(),
             n_windows=self._n_windows,
-            n_usable=self._n_usable,
             n_gaps=self._n_gaps,
             windows_lost=self._windows_lost,
         )
@@ -360,7 +430,6 @@ class StreamingMonitor:
         monitor._windower = StreamingWindower.from_snapshot(state.windower)
         monitor._sequence = SequenceTracker.from_snapshot(state.sequence)
         monitor._n_windows = int(state.n_windows)
-        monitor._n_usable = int(state.n_usable)
         monitor._n_gaps = int(state.n_gaps)
         monitor._windows_lost = int(state.windows_lost)
         return monitor
@@ -409,7 +478,7 @@ class StreamingMonitor:
             self._sequence.validate(seq, span=span if self.lossy else 1)
         completed = self._windower.push(times, amplitudes)
         completed += self._windower.advance(self._detector.finalized_time_s)
-        return self._featurize(completed)
+        return self._pending(completed)
 
     def note_gap(self, resume_sample: int) -> int:
         """Absorb a sequence gap: samples up to ``resume_sample`` are lost.
@@ -463,29 +532,21 @@ class StreamingMonitor:
         indices, times, amplitudes = self._detector.flush()
         completed = self._windower.push(times, amplitudes, now_s=self._detector.time_seen_s)
         completed += self._windower.flush()
-        return self._featurize(completed)
+        return self._pending(completed)
 
     # ------------------------------------------------------------- internals
-    def _featurize(self, windows) -> List[PendingWindow]:
+    def _pending(self, windows: List[BeatWindow]) -> List[PendingWindow]:
+        """Completed windows as pending windows carrying their beats; one
+        with too few beats to featurise is unusable at once."""
         min_beats = self._windower.params.min_beats
-        pending: List[PendingWindow] = []
-        for window in windows:
-            features: Optional[np.ndarray] = None
-            if window.n_beats >= min_beats:
-                try:
-                    features = self._extractor.extract_beat_window(window)
-                except ValueError:
-                    features = None
-            self._n_windows += 1
-            if features is not None:
-                self._n_usable += 1
-            pending.append(
-                PendingWindow(
-                    patient_id=self.patient_id,
-                    start_s=window.start_s,
-                    end_s=window.end_s,
-                    n_beats=window.n_beats,
-                    features=features,
-                )
+        self._n_windows += len(windows)
+        return [
+            PendingWindow(
+                self.patient_id,
+                window.start_s,
+                window.end_s,
+                window.n_beats,
+                beats=window if window.n_beats >= min_beats else None,
             )
-        return pending
+            for window in windows
+        ]

@@ -98,7 +98,7 @@ def test_async_rule_is_path_gated():
 
 def test_snapshot_registry_detects_stale_pin_after_bump():
     text = (
-        "MONITOR_STATE_VERSION = 4\n"
+        "MONITOR_STATE_VERSION = 5\n"
         "\n"
         "class MonitorState:\n"
         "    version: int\n"
@@ -108,7 +108,6 @@ def test_snapshot_registry_detects_stale_pin_after_bump():
         "    windower: dict\n"
         "    sequence: int\n"
         "    n_windows: int\n"
-        "    n_usable: int\n"
         "    pending: tuple\n"
         "    n_gaps: int\n"
         "    windows_lost: int\n"
@@ -116,12 +115,12 @@ def test_snapshot_registry_detects_stale_pin_after_bump():
     )
     report = run_source(text, path="repro/serving/streaming.py")
     assert len(report.findings) == 1
-    assert "still records version 3" in report.findings[0].message
+    assert "still records version 4" in report.findings[0].message
 
 
 def test_snapshot_registry_detects_bump_without_layout_change():
     text = (
-        "MONITOR_STATE_VERSION = 4\n"
+        "MONITOR_STATE_VERSION = 5\n"
         "\n"
         "class MonitorState:\n"
         "    version: int\n"
@@ -131,14 +130,13 @@ def test_snapshot_registry_detects_bump_without_layout_change():
         "    windower: dict\n"
         "    sequence: int\n"
         "    n_windows: int\n"
-        "    n_usable: int\n"
         "    pending: tuple\n"
         "    n_gaps: int\n"
         "    windows_lost: int\n"
     )
     report = run_source(text, path="repro/serving/streaming.py")
     assert len(report.findings) == 1
-    assert "pins MonitorState at version 3" in report.findings[0].message
+    assert "pins MonitorState at version 4" in report.findings[0].message
 
 
 def test_wire_rule_rejects_unregistered_version():

@@ -174,7 +174,7 @@ class TestStreamingMonitor:
         assert all(d.end_s - d.start_s == 180.0 for d in decisions)
         assert all(d.usable for d in decisions)
         assert all(d.score is not None for d in decisions)
-        assert monitor.n_windows == 5 and monitor.n_usable_windows == 5
+        assert monitor.n_windows == 5
 
 
 class TestMonitorFleetParity:

@@ -422,6 +422,46 @@ class TestNodeChurn:
         flat = sorted((d for drain in reference for d in drain), key=decision_sort_key)
         _assert_drains_identical([flat], [everything])
 
+    def test_frame_for_an_orphan_waits_for_its_replay(self, quantized_detector):
+        """A frame submitted for a dead node's patient while another orphan's
+        write-ahead replay is parked on a full ``"block"`` queue waits for
+        its own patient's replay, then follows it in order."""
+
+        async def run():
+            cluster = GatewayCluster(quantized_detector, FS, n_nodes=2, queue_depth=2)
+            await cluster.start()
+            first, second = [pid for pid in range(100) if cluster.ring.shard_of(pid) == 0][:2]
+            samples = np.zeros(64)
+            for seq in range(3):
+                await cluster.submit(encode_chunk(first, seq, FS, samples))
+            await cluster.submit(encode_chunk(second, 0, FS, samples))
+            survivor = cluster._nodes[1].gateway
+            # The survivor's pump skips ``first``: its 3-frame replay parks
+            # on the third frame.
+            survivor.quiesce_patients([first])
+            kill = asyncio.create_task(cluster.kill_node(0))
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert not kill.done()
+            late = asyncio.create_task(cluster.submit(encode_chunk(second, 1, FS, samples)))
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert not late.done()
+            assert cluster.stats().fully_accounted
+            survivor.resume_patients([first])
+            assert await kill == [first, second]
+            await late
+            await cluster.stop()
+            return cluster.stats()
+
+        stats = asyncio.run(run())
+        assert stats.frames_replayed == 4
+        assert stats.fully_accounted
+        # Delivered in order: a frame ahead of its replay would have been
+        # refused by the new owner's sequence check.
+        assert all(g.frames_errored == 0 for g in stats.gateways.values())
+        assert stats.gateways["g1"].frames_received == 5
+
     def test_add_node_rehomes_via_real_handoffs(self, workload, quantized_detector):
         frames = workload["frames"]
 

@@ -375,7 +375,6 @@ class TestMonitorStateRoundTrip:
                     windower=None,
                     sequence=None,
                     n_windows=0,
-                    n_usable=0,
                 )
             )
 

@@ -12,7 +12,7 @@ the real experiment features:
   bit-identical scores and labels; the committed record pins the measured
   ~19x.
 
-* **End to end** — the streaming chain (ring-buffer windower, one batched
+* **End to end** — the streaming chain (linear-buffer windower, one batched
   classification per drain) against the naive chain (same windows and
   features, per-window reference classification) over an identical
   synthetic beat workload.
@@ -23,8 +23,11 @@ the real experiment features:
   walk, batched refinement, band-pass filtering of only the walked span)
   against its loop oracle from ``tests/oracles.py`` (per-sample threshold
   scan, per-peak refinement, whole-buffer filtering) on one raw-ECG stream
-  in 4 s frames at 64 and 128 Hz.  Identical beats; ns/sample and speedup
-  of both are recorded.
+  in 4 s frames at 64, 128, 256 and 512 Hz.  Identical beats; ns/sample and
+  speedup of both are recorded.  Two deterministic gates pin the per-frame
+  path's Python and C-builtin calls exactly: ``StreamingPeakDetector.process``
+  per 4 s frame at 64 and 128 Hz, and ``StreamingMonitor.push`` (detector
+  plus windower) per 8 s frame at 64 Hz.
 
 * **Feature kernels** — the 53-feature extraction of every 60 s / 15 s window
   of raw 64 Hz ECG streamed through the detector and the windower, with the
@@ -108,6 +111,10 @@ E2E_STEP_S = 15.0
 #: Detector workload: one patient's raw ECG, streamed in 4 s frames.
 DETECTOR_DURATION_S = 600.0
 DETECTOR_FRAME_S = 4.0
+
+#: Monitor call-count workload: the detector workload's 64 Hz stream in the
+#: replay's 8 s frames, windowed on the monitor's 60 s / 15 s grid.
+MONITOR_FRAME_S = 8.0
 
 #: Feature workload: two patients' raw ECG at 64 Hz, streamed through the
 #: detector in 4 s frames and cut into the monitor's 60 s / 15 s windows.
@@ -255,7 +262,7 @@ def test_bench_hotpath_quantized_kernel(benchmark, experiment_data):
 
 
 def _stream_fast(streams, detector, windowing):
-    """The optimised chain: ring windower + batched drain."""
+    """The optimised chain: streaming windower + batched drain."""
     windowers = [StreamingWindower(windowing) for _ in streams]
     extractor = FeatureExtractor()
     decisions = []
@@ -297,7 +304,7 @@ def _stream_naive(streams, detector, windowing):
 
 
 def _measure_e2e(streams, det_fused, det_naive, windowing, pairs=7):
-    """Median per-pair speedup of the ring+batched chain over the naive one.
+    """Median per-pair speedup of the streaming+batched chain over the naive one.
 
     Alternating back-to-back pairs (``interleaved_ratio``): the two chains
     differ by a few percent of a feature-dominated run, well inside the
@@ -347,7 +354,7 @@ def test_bench_hotpath_end_to_end(benchmark, experiment_data):
     print()
     print("windows streamed          : %d  (%d patients)" % (n, E2E_PATIENTS))
     print("naive per-window chain    : %8.0f windows/s" % (n / t_naive))
-    print("ring+batched chain        : %8.0f windows/s  (%.2fx)" % (n / t_fast, speedup))
+    print("streaming+batched chain   : %8.0f windows/s  (%.2fx)" % (n / t_fast, speedup))
     benchmark.extra_info["windows"] = n
     benchmark.extra_info["naive_windows_per_s"] = n / t_naive
     benchmark.extra_info["fast_windows_per_s"] = n / t_fast
@@ -411,7 +418,7 @@ def _raw_ecg(seed, duration_s, fs):
     ).ecg_mv
 
 
-@pytest.mark.parametrize("fs", [64.0, 128.0])
+@pytest.mark.parametrize("fs", [64.0, 128.0, 256.0, 512.0])
 def test_bench_hotpath_detector(benchmark, fs):
     ecg = _raw_ecg(2024, DETECTOR_DURATION_S, fs)
     frame = int(DETECTOR_FRAME_S * fs)
@@ -684,14 +691,18 @@ def test_bench_hotpath_train_call_counts():
         "(%.1f / %.1f per window, %d windows)"
         % (python_calls, c_calls, python_calls / n, c_calls / n, n)
     )
-    _check_call_counts("train", n, python_calls, c_calls)
+    _check_call_counts(("train",), n, python_calls, c_calls)
 
 
-def _check_call_counts(bench, n, python_calls, c_calls):
-    """Gate the counts exactly against ``BENCH_hotpath.json``'s
-    ``<bench>.calls`` record; skip, with the counts to re-pin, under a
-    Python or NumPy version other than the recorded one."""
-    record = json.loads(HOTPATH_RECORD.read_text())[bench]["calls"]
+def _check_call_counts(path, n, python_calls, c_calls, unit="windows"):
+    """Gate the counts exactly against the ``calls`` record under the keys
+    ``path`` of ``BENCH_hotpath.json`` (e.g. ``("detector", "64hz")``), made
+    over ``n`` ``unit``; skip, with the counts to re-pin, under a Python or
+    NumPy version other than the recorded one."""
+    record = json.loads(HOTPATH_RECORD.read_text())
+    for key in path:
+        record = record[key]
+    record = record["calls"]
     pinned = (record["python_version"], record["numpy_version"])
     running = ("%d.%d" % sys.version_info[:2], np.__version__)
     if running != pinned:
@@ -700,12 +711,59 @@ def _check_call_counts(bench, n, python_calls, c_calls):
             "benchmarks/BENCH_hotpath.json for %s / %s (measured %d Python, %d C calls)"
             % (pinned + running + (python_calls, c_calls))
         )
-    assert record["windows"] == n
+    assert record[unit] == n
     pinned_counts = (record["python_calls"], record["c_calls"])
     assert (python_calls, c_calls) == pinned_counts, (
         "%s: %d Python and %d C calls; the committed record pins %d and %d"
-        % ((bench, python_calls, c_calls) + pinned_counts)
+        % (("/".join(path), python_calls, c_calls) + pinned_counts)
     )
+
+
+def _frames(x, frame):
+    return [x[lo : lo + frame] for lo in range(0, x.size, frame)]
+
+
+@pytest.mark.parametrize("fs", [64.0, 128.0])
+def test_bench_hotpath_detector_call_counts(fs):
+    """Calls per 4 s frame of ``StreamingPeakDetector.process`` over the
+    detector bench's stream: the detector's work count, gated exactly.
+    Two untimed passes first, as for the training count."""
+    frames = _frames(_raw_ecg(2024, DETECTOR_DURATION_S, fs), int(DETECTOR_FRAME_S * fs))
+    for _ in range(2):
+        warm = peaks.StreamingPeakDetector(fs)
+        for chunk in frames:
+            warm.process(chunk)
+    detector = peaks.StreamingPeakDetector(fs)
+    python_calls, c_calls = _count_calls(lambda: [detector.process(c) for c in frames])
+    n = len(frames)
+    print()
+    print(
+        "StreamingPeakDetector.process at %g Hz: %.1f Python / %.1f C calls per frame"
+        % (fs, python_calls / n, c_calls / n)
+    )
+    _check_call_counts(("detector", "%dhz" % fs), n, python_calls, c_calls, unit="frames")
+
+
+def test_bench_hotpath_monitor_call_counts():
+    """Calls per 8 s frame of ``StreamingMonitor.push`` — detector plus
+    windower, the per-frame path a fleet runs for every patient — gated
+    exactly."""
+    fs = FEATURES_FS
+    frames = _frames(_raw_ecg(2024, DETECTOR_DURATION_S, fs), int(MONITOR_FRAME_S * fs))
+    windowing = WindowingParams(window_s=FEATURES_WINDOW_S, step_s=FEATURES_STEP_S, min_beats=40)
+    for _ in range(2):
+        warm = StreamingMonitor(0, fs, windowing=windowing)
+        for chunk in frames:
+            warm.push(chunk)
+    monitor = StreamingMonitor(0, fs, windowing=windowing)
+    python_calls, c_calls = _count_calls(lambda: [monitor.push(c) for c in frames])
+    n = len(frames)
+    print()
+    print(
+        "StreamingMonitor.push at %g Hz: %.1f Python / %.1f C calls per frame"
+        % (fs, python_calls / n, c_calls / n)
+    )
+    _check_call_counts(("monitor",), n, python_calls, c_calls, unit="frames")
 
 
 def _serving_drain():
@@ -799,4 +857,4 @@ def test_bench_hotpath_serving_call_counts():
     extractor.extract_batch(items)
     extractor.extract_batch(items)
     python_calls, c_calls = _count_calls(lambda: extractor.extract_batch(items))
-    _check_call_counts("serving", len(items), python_calls, c_calls)
+    _check_call_counts(("serving",), len(items), python_calls, c_calls)

@@ -28,6 +28,7 @@ __all__ = [
     "detrend_rows",
     "bandpass_fir",
     "apply_fir",
+    "correlate_fir",
 ]
 
 #: (signal length, width) -> (kernel, clipped edge-count normaliser).
@@ -169,11 +170,29 @@ def bandpass_fir(
 def apply_fir(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Zero-phase application of an FIR filter (forward filtering, group-delay
     compensated), returning a signal the same length as the input."""
-    x = np.asarray(x, dtype=float)
     taps = np.asarray(taps, dtype=float)
+    return correlate_fir(x, np.ascontiguousarray(taps[::-1]))
+
+
+def correlate_fir(x: np.ndarray, reversed_taps: np.ndarray) -> np.ndarray:
+    """:func:`apply_fir` with the taps passed reversed, bit for bit.
+
+    ``np.convolve(a, v)`` is ``np.correlate(a, v[::-1])`` with ``v[::-1]``
+    copied on every call; a caller that filters many signals with one
+    filter reverses its taps once and hands them here.  When the padded
+    signal is shorter than the taps ``np.convolve`` swaps its operands, so
+    that case keeps the ``np.convolve`` form.
+    """
+    x = np.asarray(x, dtype=float)
     if x.size == 0:
         return x.copy()
-    delay = (taps.size - 1) // 2
-    padded = np.concatenate((x, np.full(delay, x[-1])))
-    filtered = np.convolve(padded, taps, mode="full")
-    return filtered[delay : delay + x.size]
+    n = x.size
+    delay = (reversed_taps.size - 1) // 2
+    padded = np.empty(n + delay)
+    padded[:n] = x
+    padded[n:] = x[-1]
+    if padded.size < reversed_taps.size:
+        filtered = np.convolve(padded, reversed_taps[::-1], mode="full")
+    else:
+        filtered = np.correlate(padded, reversed_taps, "full")
+    return filtered[delay : delay + n]

@@ -19,12 +19,13 @@ Two entry points are provided:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.dsp.filters import apply_fir, bandpass_fir, moving_average
+from repro.dsp.filters import _MA_CACHE, apply_fir, bandpass_fir, correlate_fir, moving_average
 
 __all__ = [
     "PanTompkinsParams",
@@ -32,6 +33,18 @@ __all__ = [
     "detect_r_peaks",
     "StreamingPeakDetector",
 ]
+
+#: The smallest positive normal float: the walk's floor (see
+#: :func:`_walk_and_refine`) is trusted only from here up.
+_SMALLEST_NORMAL = sys.float_info.min
+
+
+#: Shared results of a pass that emits nothing: no beat indices, times or
+#: amplitudes.  Read-only, so that no caller can fill one for another.
+_NO_INDICES = np.empty(0, dtype=int)
+_NO_VALUES = np.empty(0)
+_NO_INDICES.flags.writeable = _NO_VALUES.flags.writeable = False
+_NO_PEAKS = (_NO_INDICES, _NO_VALUES, _NO_VALUES)
 
 
 @dataclass
@@ -81,17 +94,30 @@ def _integrated_energy(filtered: np.ndarray, integration_width: int) -> np.ndarr
 
     The derivative is ``np.gradient(filtered)`` written out: central
     differences halved in the interior, one-sided differences at the edges —
-    the same operations, without ``np.gradient``'s per-call set-up.
+    the same operations, without ``np.gradient``'s per-call set-up — then
+    squared in place (``d * d`` is ``d**2`` bit for bit).  The integration
+    is :func:`~repro.dsp.filters.moving_average` without the wrapper: one
+    ``np.correlate`` against its memoised kernel, then its edge counts.
+    Every tap of the kernel is ``1/width``, so correlating with it is
+    ``np.convolve``'s result without the reversed copy.  A signal shorter
+    than the window (where ``np.convolve`` swaps its operands), or a length
+    not yet memoised, goes through ``moving_average`` itself.
     """
     if filtered.size < 2:
-        derivative = np.gradient(filtered)  # ValueError: too few samples
-    else:
-        derivative = np.empty(filtered.size)
-        np.subtract(filtered[2:], filtered[:-2], out=derivative[1:-1])
-        derivative[1:-1] /= 2.0
-        derivative[0] = filtered[1] - filtered[0]
-        derivative[-1] = filtered[-1] - filtered[-2]
-    return moving_average(derivative**2, max(integration_width, 1))
+        np.gradient(filtered)  # ValueError: too few samples
+    derivative = np.empty(filtered.size)
+    np.subtract(filtered[2:], filtered[:-2], out=derivative[1:-1])
+    derivative[1:-1] /= 2.0
+    derivative[0] = filtered[1] - filtered[0]
+    derivative[-1] = filtered[-1] - filtered[-2]
+    derivative *= derivative
+    width = integration_width if integration_width > 1 else 1
+    plan = _MA_CACHE.get((derivative.size, width))
+    if plan is None or derivative.size < width:
+        return moving_average(derivative, width)
+    energy = np.correlate(derivative, plan[0], "same")
+    energy /= plan[1]
+    return energy
 
 
 def _seed_level(energy: np.ndarray) -> Optional[float]:
@@ -124,22 +150,46 @@ def _walk_and_refine(
     the local maxima alone fires exactly the samples a per-sample scan
     fires.  Non-finite energy never fires: NaN fails every comparison, and an
     infinite peak (an inf sample, or overflow) would drag the level to inf
-    and silence the detector for good.  Every fired candidate is then moved
-    to the maximum of ``filtered`` within ``half_refine`` samples (first
-    maximum on ties), all candidates in one gather and one ``argmax``.
+    and silence the detector for good.
+
+    Most maxima are too small ever to fire, and the walk skips them against
+    a floor.  With fraction ``f``, memory ``m > 0`` and
+    ``q = 1 - (1 - f)/m``, a fire at value ``v > f·L`` moves the level to
+    ``L + (v - L)/m``, which exceeds ``q·L`` by ``(v - f·L)/m > 0``.  Fires
+    are at least ``refractory`` samples apart, so the span holds at most
+    ``F = (end - start)//refractory + 1`` of them, and from a level
+    ``L > 0`` no threshold in the walk drops below ``f·L·q^F`` (``q``
+    capped at 1: a larger ``q`` only raises the level).  Maxima at or below
+    half of that cannot fire: the factor ½ absorbs the rounding of up to
+    ``F`` level updates, each a few ulps.  The floor applies only when it is
+    a normal float, where those roundings are relative; otherwise (a level
+    that is not positive, a floor that underflows, or parameters with
+    ``q ≤ 0``) every maximum is walked.
+
+    Every fired candidate is then moved to the maximum of ``filtered``
+    within ``half_refine`` samples (first maximum on ties), all candidates
+    in one gather and one ``argmax``.
 
     Returns the refined positions (in candidate order) and the updated level.
     """
-    start = max(start, 1)
-    end = min(end, energy.size - 1)
+    if start < 1:
+        start = 1
+    if end > energy.size - 1:
+        end = energy.size - 1
     if end <= start:
-        return np.empty(0, dtype=int), level
-    centre = energy[start:end]
-    is_max = (centre >= energy[start - 1 : end - 1]) & (centre >= energy[start + 1 : end + 1])
-    maxima = is_max.nonzero()[0]
+        return _NO_INDICES, level
     fraction = params.threshold_fraction
     memory = params.level_memory
     threshold = fraction * level
+    centre = energy[start:end]
+    walked = (centre >= energy[start - 1 : end - 1]) & (centre >= energy[start + 1 : end + 1])
+    decay = 1.0 - (1.0 - fraction) / memory if memory > 0 else 0.0
+    if decay > 0.0 and level > 0.0:
+        fires = (end - start) // refractory + 1
+        floor = 0.5 * threshold * (decay if decay < 1.0 else 1.0) ** fires
+        if floor >= _SMALLEST_NORMAL:
+            walked &= centre > floor
+    maxima = walked.nonzero()[0]
     fired = []
     blocked_until = 0
     for i, value in zip(maxima.tolist(), centre[maxima].tolist()):
@@ -149,14 +199,19 @@ def _walk_and_refine(
             threshold = fraction * level
             blocked_until = i + refractory
     if not fired:
-        return np.empty(0, dtype=int), level
+        return _NO_INDICES, level
     candidates = np.asarray(fired, dtype=int) + start
-    # Row k is filtered[c - half : c + half + 1] around candidate c, read
-    # from a copy padded with -inf so that positions past either end of the
-    # signal never win the argmax.
+    offsets = np.arange(-half_refine, half_refine + 1)
+    if fired[0] + start >= half_refine and fired[-1] + start + half_refine < filtered.size:
+        # Every window lies inside the signal: row k is
+        # filtered[c - half : c + half + 1] around candidate c.
+        rows = filtered[candidates[:, None] + offsets]
+        return candidates - half_refine + rows.argmax(axis=1), level
+    # A window crosses an end: read the rows from a copy padded with -inf,
+    # so that positions past either end of the signal never win the argmax.
     edge = np.full(half_refine, -np.inf)
     padded = np.concatenate((edge, filtered, edge))
-    rows = padded[candidates[:, None] + np.arange(2 * half_refine + 1)]
+    rows = padded[candidates[:, None] + offsets + half_refine]
     refined = candidates - half_refine + rows.argmax(axis=1)
     # An all -inf window ties with the padding; its first real sample wins,
     # as in a slice.
@@ -296,6 +351,7 @@ class StreamingPeakDetector:
     #: list against the constructor).
     _SNAPSHOT_EXCLUDE = (
         "_taps",
+        "_reversed_taps",
         "_refractory",
         "_half_refine",
         "_integration",
@@ -311,6 +367,8 @@ class StreamingPeakDetector:
         self.fs = float(fs)
         self.params = params or PanTompkinsParams()
         self._taps = _design_qrs_bandpass(self.fs, self.params)
+        #: The band-pass as :func:`~repro.dsp.filters.correlate_fir` takes it.
+        self._reversed_taps = np.ascontiguousarray(self._taps[::-1])
         self._refractory = max(int(self.params.refractory_s * self.fs), 1)
         self._half_refine = int(self.params.refine_half_window_s * self.fs)
         self._integration = max(int(self.params.integration_window_s * self.fs), 1)
@@ -450,14 +508,11 @@ class StreamingPeakDetector:
         self._seed_from = abs_sample
 
     # ------------------------------------------------------------- internals
-    def _empty(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return np.empty(0, dtype=int), np.empty(0), np.empty(0)
-
     def _detect(self, final: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         margin = 0 if final else self._margin
         end_abs = self._n_seen - margin
         if end_abs <= self._finalized or self._buffer.size < 2:
-            return self._empty()
+            return _NO_PEAKS
 
         if self._level is None:
             lo, hi = 0, self._buffer.size  # the seed window may lie anywhere
@@ -466,12 +521,12 @@ class StreamingPeakDetector:
             # retained left context is sized for the next pass, not this one.
             lo = max(self._finalized - self._buffer_start - self._lead, 0)
             hi = min(end_abs - self._buffer_start + self._lag, self._buffer.size)
-        filtered = apply_fir(self._buffer[lo:hi], self._taps)
+        filtered = correlate_fir(self._buffer[lo:hi], self._reversed_taps)
         integrated = _integrated_energy(filtered, self._integration)
 
         if self._level is None and not self._seed(integrated, final):
             self._trim(self._seed_from)
-            return self._empty()
+            return _NO_PEAKS
 
         start_abs = max(self._finalized, self._last_peak + self._refractory, self._seed_from)
         refined, self._level = _walk_and_refine(
@@ -485,27 +540,25 @@ class StreamingPeakDetector:
             self._half_refine,
         )
 
-        emitted_local = []
-        for refined_local in (refined + lo).tolist():
-            refined_abs = self._buffer_start + refined_local
-            # Enforce the refractory period across chunk boundaries and
-            # against refinement collapsing two candidates onto one beat.
-            if refined_abs - self._last_peak < self._refractory:
-                continue
-            emitted_local.append(refined_local)
-            self._last_peak = refined_abs
-
         self._finalized = end_abs
-
+        # Enforce the refractory period across chunk boundaries and against
+        # refinement collapsing two candidates onto one beat.
+        emitted = []
+        if refined.size:
+            last = self._last_peak - self._buffer_start - lo
+            for position in refined.tolist():
+                if position - last >= self._refractory:
+                    emitted.append(position)
+                    last = position
+            self._last_peak = last + self._buffer_start + lo
+        if not emitted:
+            self._trim(end_abs)
+            return _NO_PEAKS
         # Amplitudes are read from the raw signal, as in the one-shot path.
-        local = np.asarray(emitted_local, dtype=int)
-        amplitudes = self._buffer[local] if local.size else np.empty(0)
+        local = np.asarray(emitted, dtype=int) + lo
+        amplitudes = self._buffer[local]
         indices = local + self._buffer_start
-
-        self._trim(self._finalized)
-
-        if not indices.size:
-            return self._empty()
+        self._trim(end_abs)
         return indices, indices / self.fs, amplitudes
 
     def _seed(self, integrated: np.ndarray, final: bool) -> bool:

@@ -442,6 +442,8 @@ class IngestGateway:
         self._streams = FrameStreamServer()
         self._closing_connections = False
         self._pump_task: Optional[asyncio.Task] = None
+        #: Set by the pump's idle timer when it ends a wait (see _pump_loop).
+        self._idle_elapsed = False
         self._closing = False
         self._started_t: Optional[float] = None
         self._frames_received = 0
@@ -877,6 +879,7 @@ class IngestGateway:
         self._autoscale_actions += 1
 
     async def _pump_loop(self) -> None:
+        loop = asyncio.get_running_loop()
         while True:
             if self._deliver_one():
                 self._poll_drain()
@@ -894,18 +897,29 @@ class IngestGateway:
             if any(pid not in self._quiesced for pid in self._order):
                 self._data.set()
                 continue
-            timeout = (
-                self.poll_interval_s
-                if self.fleet.drain_policy is not None or self._autoscaler is not None
-                else None
-            )
+            if self.fleet.drain_policy is None and self._autoscaler is None:
+                await self._data.wait()
+                continue
+            # An idle period costs one timer (asyncio.wait_for would add a
+            # task and a waiter per period before Python 3.12); the timer
+            # ends the wait as a frame does, and flags that it did.
+            self._idle_elapsed = False
+            timer = loop.call_later(self.poll_interval_s, self._end_idle_period)
             try:
-                await asyncio.wait_for(self._data.wait(), timeout)
-            except asyncio.TimeoutError:
+                await self._data.wait()
+            finally:
+                timer.cancel()
+            if self._idle_elapsed:
                 # Idle tick: give time-based drain policies (and the
                 # autoscaler, which may owe a scale-down) their poll.
                 self._poll_drain()
                 await self._maybe_autoscale()
+
+    def _end_idle_period(self) -> None:
+        """The pump's idle timer: the poll interval passed with nothing
+        delivered, so wake the pump for an idle tick."""
+        self._idle_elapsed = True
+        self._data.set()
 
     # ----------------------------------------------------------------- stats
     def stats(self) -> GatewayStats:

@@ -476,8 +476,7 @@ class StreamingMonitor:
         # chunk's sample span in datagram mode, by one chunk otherwise).
         if seq is not None:
             self._sequence.validate(seq, span=span if self.lossy else 1)
-        completed = self._windower.push(times, amplitudes)
-        completed += self._windower.advance(self._detector.finalized_time_s)
+        completed = self._windower.push(times, amplitudes, now_s=self._detector.finalized_time_s)
         return self._pending(completed)
 
     def note_gap(self, resume_sample: int) -> int:

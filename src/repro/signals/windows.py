@@ -203,48 +203,38 @@ class StreamingWindower:
       boundary beat is coming soon — e.g. a detector dropout).
 
     The stream clock is advanced implicitly by pushed beats and explicitly by
-    :meth:`advance`, which a caller should feed with the *finalised* time of
-    its beat detector.
+    ``now_s`` (:meth:`push`) or :meth:`advance`, which a caller should feed
+    with the *finalised* time of its beat detector.
 
-    Internally the buffered beats live in a preallocated power-of-two ring
-    (times, amplitudes and the RR interval starting at each beat), so a push
-    costs a bounded copy of the *new* beats instead of an
-    ``np.concatenate`` reallocation of the whole buffer, and each RR
-    interval is computed exactly once per beat pair rather than once per
-    overlapping window.  Emitted windows are bit-identical to the previous
-    concatenating implementation (pinned by the hot-path property suite).
+    The buffered beats live in plain linear arrays — times, amplitudes and
+    the RR interval starting at each beat but the last — that a push extends
+    and a retiring window trims from the front, so each RR interval is
+    computed exactly once per beat pair rather than once per overlapping
+    window.  The arrays are never written in place (a push concatenates, a
+    retirement slices), so an emitted window's arrays are views of them.
+    Emitted windows are bit-identical to a one-shot push of the whole beat
+    stream (pinned by the hot-path property suite).
     """
 
     #: Extra stream time to wait for a window-boundary beat before closing a
     #: window on the clock alone.
     boundary_grace_s: float = 2.0
 
-    #: Starting ring capacity; grows by doubling when a push outruns it.
-    #: Kept small enough that tests can exercise wraparound cheaply.
-    _INITIAL_CAPACITY = 1024
-
-    #: Ring geometry and the derived RR ring are not part of the snapshot:
-    #: :meth:`snapshot` stores the *linearised* logical arrays, and
-    #: :meth:`from_snapshot` rebuilds the ring (and recomputes the RR ring
-    #: from the beat times, bit-identically) at whatever capacity fits.
-    _SNAPSHOT_EXCLUDE = ("_cap", "_head", "_rr_buf")
+    #: The RR array is derived from the beat times: :meth:`from_snapshot`
+    #: recomputes it, bit-identically.
+    _SNAPSHOT_EXCLUDE = ("_rr",)
 
     def __init__(self, params: WindowingParams | None = None) -> None:
         self.params = params or WindowingParams()
         if self.params.step_s <= 0:
             raise ValueError("step_s must be positive")
-        self._cap = int(self._INITIAL_CAPACITY)
-        if self._cap < 2 or (self._cap & (self._cap - 1)) != 0:
-            raise ValueError("ring capacity must be a power of two >= 2")
-        self._times_buf = np.empty(self._cap)
-        self._amps_buf = np.empty(self._cap)
-        #: ``_rr_buf[phys(i)] = times[i+1] - times[i]``, valid for logical
-        #: ``i`` in ``[0, count-1)``; the difference is computed once when
-        #: beat ``i+1`` arrives and reused by every window containing it.
-        self._rr_buf = np.empty(self._cap)
-        self._head = 0
-        self._count = 0
-        #: Absolute beat index of logical element 0 (monotone over the
+        self._times = np.empty(0)
+        self._amps = np.empty(0)
+        #: ``_rr[i] = _times[i+1] - _times[i]``: one entry per buffered beat
+        #: pair, computed when beat ``i+1`` arrives and reused by every
+        #: window containing it.
+        self._rr = np.empty(0)
+        #: Absolute beat index of ``_times[0]`` (monotone over the
         #: windower's lifetime, including across :meth:`reset`).
         self._base = 0
         self._start = 0.0
@@ -257,66 +247,16 @@ class StreamingWindower:
 
     @property
     def buffered_beats(self) -> int:
-        """Number of beats currently held in the ring."""
-        return self._count
-
-    # ------------------------------------------------------- ring primitives
-    def _phys(self, logical: int) -> int:
-        return (self._head + logical) & (self._cap - 1)
-
-    def _copy_out(self, buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Contiguous copy of logical range ``[lo, hi)`` of a ring buffer."""
-        n = hi - lo
-        if n <= 0:
-            return np.empty(0)
-        out = np.empty(n)
-        p0 = self._phys(lo)
-        straight = min(n, self._cap - p0)
-        out[:straight] = buf[p0 : p0 + straight]
-        if straight < n:
-            out[straight:] = buf[: n - straight]
-        return out
-
-    def _write(self, buf: np.ndarray, lo: int, values: np.ndarray) -> None:
-        """Write ``values`` at logical positions ``[lo, lo + len(values))``."""
-        n = values.shape[0]
-        if n == 0:
-            return
-        p0 = self._phys(lo)
-        straight = min(n, self._cap - p0)
-        buf[p0 : p0 + straight] = values[:straight]
-        if straight < n:
-            buf[: n - straight] = values[straight:]
-
-    def _search(self, value: float, side: str) -> int:
-        """``np.searchsorted`` over the logical (wrapped) beat-time order."""
-        straight = min(self._count, self._cap - self._head)
-        first_seg = self._times_buf[self._head : self._head + straight]
-        idx = int(np.searchsorted(first_seg, value, side=side))
-        if idx < straight or straight == self._count:
-            return idx
-        second_seg = self._times_buf[: self._count - straight]
-        return straight + int(np.searchsorted(second_seg, value, side=side))
-
-    def _grow(self, needed: int) -> None:
-        """Reallocate to the next power of two >= ``needed``, linearised."""
-        cap = self._cap
-        while cap < needed:
-            cap *= 2
-        for name in ("_times_buf", "_amps_buf", "_rr_buf"):
-            new_buf = np.empty(cap)
-            new_buf[: self._count] = self._copy_out(getattr(self, name), 0, self._count)
-            setattr(self, name, new_buf)
-        self._cap = cap
-        self._head = 0
+        """Number of beats currently buffered."""
+        return int(self._times.shape[0])
 
     # ------------------------------------------------------- snapshot / reset
     def snapshot(self) -> WindowerState:
         """Capture the partial-window state as a picklable value object."""
         return WindowerState(
             params=replace(self.params),
-            beat_times_s=self._copy_out(self._times_buf, 0, self._count),
-            r_amplitudes_mv=self._copy_out(self._amps_buf, 0, self._count),
+            beat_times_s=self._times.copy(),
+            r_amplitudes_mv=self._amps.copy(),
             window_start_s=self._start,
             clock_s=self._clock,
             base_beat_index=self._base,
@@ -327,15 +267,9 @@ class StreamingWindower:
         """Revive a windower mid-stream, emitting exactly the windows the
         original would have emitted for any continuation of the beat stream."""
         windower = cls(replace(state.params))
-        times = np.array(state.beat_times_s, dtype=float, copy=True).ravel()
-        amps = np.array(state.r_amplitudes_mv, dtype=float, copy=True).ravel()
-        if times.shape[0] + 1 > windower._cap:
-            windower._grow(times.shape[0] + 1)
-        windower._write(windower._times_buf, 0, times)
-        windower._write(windower._amps_buf, 0, amps)
-        if times.shape[0] > 1:
-            windower._write(windower._rr_buf, 0, np.diff(times))
-        windower._count = int(times.shape[0])
+        windower._times = times = np.array(state.beat_times_s, dtype=float, copy=True).ravel()
+        windower._amps = np.array(state.r_amplitudes_mv, dtype=float, copy=True).ravel()
+        windower._rr = times[1:] - times[:-1]
         windower._base = int(getattr(state, "base_beat_index", 0))
         windower._start = float(state.window_start_s)
         windower._clock = float(state.clock_s)
@@ -347,8 +281,8 @@ class StreamingWindower:
         The recovery primitive for sequence gaps (lossy transport): windows
         spanning the gap are abandoned instead of being emitted with a hole
         in their beat data.  The absolute beat index keeps counting past the
-        dropped beats, so downstream per-beat caches can never alias a
-        pre-gap beat with a post-gap one.
+        dropped beats, so no post-gap window's ``first_beat_index`` repeats
+        a pre-gap one.
 
         Returns the number of grid windows abandoned by the restart — the
         window starts in ``[old_start, start_s)`` that now can never be
@@ -357,9 +291,8 @@ class StreamingWindower:
         start_s = float(start_s)
         step = self.params.step_s
         abandoned = max(int(math.ceil((start_s - self._start) / step - 1e-9)), 0)
-        self._base += self._count
-        self._count = 0
-        self._head = 0
+        self._base += self._times.shape[0]
+        self._times = self._amps = self._rr = np.empty(0)
         self._start = start_s
         self._clock = max(self._clock, start_s)
         return abandoned
@@ -368,33 +301,29 @@ class StreamingWindower:
     def push(
         self, beat_times_s: np.ndarray, r_amplitudes: np.ndarray, now_s: float | None = None
     ) -> List[BeatWindow]:
-        """Add newly detected beats (sorted, after all previous ones)."""
+        """Add newly detected beats (sorted, after all previous ones), then
+        advance the stream clock to ``now_s`` if given: one call emits what
+        a push and an :meth:`advance` would."""
         beat_times_s = np.asarray(beat_times_s, dtype=float).ravel()
         r_amplitudes = np.asarray(r_amplitudes, dtype=float).ravel()
         if beat_times_s.shape != r_amplitudes.shape:
             raise ValueError("beat times and amplitudes must have the same length")
         if beat_times_s.size:
-            last_time = (
-                self._times_buf[self._phys(self._count - 1)] if self._count else None
-            )
-            if last_time is not None and beat_times_s[0] < last_time:
+            times = self._times
+            if times.size and beat_times_s[0] < times[-1]:
                 raise ValueError("beats must be pushed in non-decreasing time order")
-            incoming = int(beat_times_s.shape[0])
-            if self._count + incoming > self._cap:
-                self._grow(self._count + incoming)
-            self._write(self._times_buf, self._count, beat_times_s)
-            self._write(self._amps_buf, self._count, r_amplitudes)
+            self._times = times = np.concatenate((times, beat_times_s))
+            self._amps = np.concatenate((self._amps, r_amplitudes))
             # RR intervals: the seam pair (old last beat -> new first beat)
             # plus the pairs inside the pushed block.  Same subtractions a
             # window-time np.diff would perform, done once per pair.
-            if last_time is not None:
-                self._rr_buf[self._phys(self._count - 1)] = beat_times_s[0] - last_time
-            if incoming > 1:
-                self._write(self._rr_buf, self._count, np.diff(beat_times_s))
-            self._count += incoming
-            self._clock = max(self._clock, float(beat_times_s[-1]))
-        if now_s is not None:
-            self._clock = max(self._clock, float(now_s))
+            fresh = times[self._rr.shape[0] :]
+            self._rr = np.concatenate((self._rr, fresh[1:] - fresh[:-1]))
+            last = float(beat_times_s[-1])
+            if last > self._clock:
+                self._clock = last
+        if now_s is not None and now_s > self._clock:
+            self._clock = float(now_s)
         return self._emit(final=False)
 
     def advance(self, now_s: float) -> List[BeatWindow]:
@@ -410,34 +339,31 @@ class StreamingWindower:
         out: List[BeatWindow] = []
         while True:
             end = self._start + self.params.window_s
-            has_boundary_beat = (
-                self._count > 0 and self._times_buf[self._phys(self._count - 1)] >= end
-            )
+            times = self._times
+            has_boundary_beat = times.size > 0 and times[-1] >= end
             closed_by_clock = self._clock >= (end if final else end + self.boundary_grace_s)
             if not (has_boundary_beat or closed_by_clock):
                 break
-            first = self._search(self._start, side="left")
-            last = self._search(end, side="left")
-            beats = self._copy_out(self._times_buf, first, last)
-            if last < self._count:
-                rr = self._copy_out(self._rr_buf, first, last)
-            else:
-                rr = self._copy_out(self._rr_buf, first, max(first, last - 1))
+            first = int(times.searchsorted(self._start))
+            last = int(times.searchsorted(end))
+            # ``_rr`` stops one short of the beats: a window without its
+            # boundary beat gets one RR interval fewer than beats.
             out.append(
                 BeatWindow(
                     start_s=float(self._start),
                     end_s=float(end),
-                    beat_times_s=beats,
-                    rr_s=rr,
-                    r_amplitudes_mv=self._copy_out(self._amps_buf, first, last),
+                    beat_times_s=times[first:last],
+                    rr_s=self._rr[first:last],
+                    r_amplitudes_mv=self._amps[first:last],
                     first_beat_index=self._base + first,
                 )
             )
             self._start += self.params.step_s
-            keep = self._search(self._start, side="left")
-            if keep > 0:
-                self._head = self._phys(keep)
-                self._count -= keep
+            keep = int(times.searchsorted(self._start))
+            if keep:
+                self._times = times[keep:]
+                self._amps = self._amps[keep:]
+                self._rr = self._rr[keep:]
                 self._base += keep
         return out
 

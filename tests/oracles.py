@@ -8,6 +8,8 @@ Each function here is the straightforward loop the optimised code in
   per-peak ``argmax`` refinement, a drop-in for
   ``repro.dsp.peaks._walk_and_refine`` (with its one rule the original scan
   lacked: infinite energy never fires);
+* :func:`apply_fir` — ``np.convolve`` over the edge-padded signal, the form
+  behind ``repro.dsp.filters.apply_fir`` and ``correlate_fir``;
 * :class:`FullBufferDetector` — a streaming detector that band-passes its
   whole retained buffer on every pass, not just the span it walks;
 * :func:`band_powers` — one ``np.add.reduce`` per band over the shared
@@ -75,6 +77,15 @@ def scan_and_refine(
         hi = min(filtered.size, p + half_refine + 1)
         refined.append(lo + int(np.argmax(filtered[lo:hi])))
     return np.asarray(refined, dtype=int), float(level)
+
+
+def apply_fir(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Zero-phase FIR through ``np.convolve`` on a copy padded with the last
+    sample."""
+    x = np.asarray(x, dtype=float)
+    delay = (taps.size - 1) // 2
+    padded = np.concatenate((x, np.full(delay, x[-1])))
+    return np.convolve(padded, taps, mode="full")[delay : delay + x.size]
 
 
 class FullBufferDetector(StreamingPeakDetector):

@@ -27,7 +27,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.dsp import peaks
 from repro.dsp.ar import ar_burg, ar_burg_rows
-from repro.dsp.filters import detrend, detrend_rows, moving_average
+from repro.dsp.filters import apply_fir, correlate_fir, detrend, detrend_rows, moving_average
 from repro.dsp.moments import mean, sample_std
 from repro.dsp.peaks import StreamingPeakDetector, detect_r_peaks
 from repro.dsp.psd import (
@@ -153,6 +153,104 @@ def test_refinement_windows_crossing_the_ends(filtered, expected):
     args = (energy, filtered, 1, 7, 1.0, peaks.PanTompkinsParams(), 3, 2)
     assert np.array_equal(peaks._walk_and_refine(*args)[0], expected)
     assert np.array_equal(oracles.scan_and_refine(*args)[0], expected)
+
+
+def _staircase(n, start, end, level, params, refractory):
+    """Energy with a local maximum every ``refractory`` samples of the walked
+    span, each a hair above the threshold the previous one leaves: every
+    maximum fires, and the threshold falls as far as the walk lets it."""
+    energy = np.zeros(n)
+    for i in range(max(start, 1), min(end, n - 1), refractory):
+        energy[i] = params.threshold_fraction * level * (1.0 + 1e-9)
+        level += (energy[i] - level) / params.level_memory
+    return energy
+
+
+@st.composite
+def walk_inputs(draw):
+    """Direct inputs of one threshold walk: energy of hostile magnitude and
+    shape, a band-passed signal, a span reaching either end, and a level.
+
+    The ``staircase`` energy is the floor's worst case: one local maximum
+    every ``refractory`` samples, each just above the threshold the previous
+    fire left, so the threshold falls as far as the walk lets it.
+    """
+    n = draw(st.integers(3, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = peaks.PanTompkinsParams(
+        threshold_fraction=draw(st.sampled_from([0.35, 0.05, 0.9])),
+        level_memory=draw(st.sampled_from([8.0, 1.0, 30.0])),
+    )
+    refractory = draw(st.integers(1, 40))
+    half_refine = draw(st.integers(0, 20))
+    start = draw(st.integers(0, n))
+    end = draw(st.integers(start, n + 2))
+    level_kind = draw(st.sampled_from(["zero", "seed", "tiny", "huge"]))
+    level = {"zero": 0.0, "seed": 1.0, "tiny": 1e-300, "huge": 1e300}[level_kind]
+    kind = draw(st.sampled_from(["spread", "scaled", "plateau", "burst", "staircase"] * 2))
+    if kind == "spread":
+        # Every sample its own magnitude, anywhere in 1e-300 ... 1e300.
+        energy = 10.0 ** rng.uniform(-300, 300, size=n)
+    elif kind == "staircase":
+        energy = _staircase(n, start, end, level if level > 0 else 1.0, params, refractory)
+    else:
+        energy = rng.exponential(size=n) ** 3 * 10.0 ** draw(st.integers(-300, 290))
+        if kind == "plateau":
+            energy = np.repeat(energy[: -(-n // 4)], 4)[:n]
+        elif kind == "burst":
+            lo = int(rng.integers(0, n))
+            energy[lo : lo + int(rng.integers(1, 8))] = rng.choice([np.nan, np.inf])
+    if level_kind == "seed" and kind != "staircase":
+        finite = energy[np.isfinite(energy)]
+        level = float(np.percentile(finite, 98)) if finite.size else 1.0
+    filtered = rng.standard_normal(n)
+    filtered[rng.integers(0, n, size=2)] = draw(st.sampled_from([0.0, np.nan, -np.inf]))
+    return energy, filtered, start, end, level, params, refractory, half_refine
+
+
+@given(args=walk_inputs())
+@settings(max_examples=300, deadline=None)
+def test_floor_filtered_walk_matches_per_sample_scan(args):
+    """The walk that skips maxima below its floor, with the refinement rows
+    gathered straight from ``filtered`` when every window is in bounds,
+    fires and refines exactly what the per-sample scan does."""
+    refined, level = peaks._walk_and_refine(*args)
+    ref_refined, ref_level = oracles.scan_and_refine(*args)
+    assert np.array_equal(refined, ref_refined)
+    assert refined.dtype == ref_refined.dtype
+    assert _same_bits(np.float64(level), np.float64(ref_level))
+
+
+@pytest.mark.parametrize("fraction, memory", [(0.35, 8.0), (0.35, 1.0), (0.05, 1.0), (0.9, 2.0)])
+@pytest.mark.parametrize("span", [1, 15, 16, 17, 160, 161])
+def test_floor_admits_the_staircase(fraction, memory, span):
+    """The floor's worst case: every maximum of the staircase fires."""
+    params = peaks.PanTompkinsParams(threshold_fraction=fraction, level_memory=memory)
+    refractory, start, n = 16, 5, 200
+    energy = _staircase(n, start, start + span, 1.0, params, refractory)
+    filtered = np.arange(n, dtype=float) % 7
+    args = (energy, filtered, start, start + span, 1.0, params, refractory, 3)
+    refined, level = peaks._walk_and_refine(*args)
+    ref_refined, ref_level = oracles.scan_and_refine(*args)
+    assert refined.size == np.count_nonzero(energy)
+    assert np.array_equal(refined, ref_refined)
+    assert level == ref_level
+
+
+@pytest.mark.parametrize("fs", [64.0, 128.0, 256.0])
+def test_correlate_fir_matches_np_convolve(fs):
+    """Reversed taps through ``np.correlate`` give ``np.convolve``'s bits on
+    signals longer than the taps and, through ``np.convolve`` itself, on
+    shorter ones."""
+    taps = peaks._design_qrs_bandpass(fs, peaks.PanTompkinsParams())
+    reversed_taps = np.ascontiguousarray(taps[::-1])
+    rng = np.random.default_rng(int(fs))
+    lengths = list(range(1, taps.size + 3)) + [300, 777, 2000]
+    for n in lengths:
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5)
+        expected = oracles.apply_fir(x, taps)
+        assert _same_bits(correlate_fir(x, reversed_taps), expected), n
+        assert _same_bits(apply_fir(x, taps), expected), n
 
 
 # --------------------------------------------------------------------------

@@ -1,15 +1,15 @@
-"""Hot-path pinning tests: ring windower, fused kernel, batch extraction.
+"""Hot-path pinning tests: windower, fused kernel, batch extraction.
 
-Two layers were rebuilt for raw speed — the ring-buffer
+Two layers were rebuilt for raw speed — the linear-buffer
 :class:`~repro.signals.windows.StreamingWindower` and the preallocated fused
 batch pipeline of :class:`~repro.quant.quantized_model.QuantizedSVM` — both
 under one contract: **bit-exactness** against the straightforward reference
 computation.  These tests pin that contract:
 
-* a hypothesis property that the ring windower (forced to wrap and grow by a
-  tiny initial capacity, with a snapshot/restore mid-stream) emits windows
-  bit-identical to a one-shot push of the same beats, and that absolute
-  beat indices stay monotone across restores and resets,
+* a hypothesis property that the windower (pushed in random chunks, with a
+  snapshot/restore mid-stream) emits windows bit-identical to a one-shot
+  push of the same beats, and that absolute beat indices stay monotone
+  across restores and resets,
 * fused-kernel parity against the reference per-row path across random
   quantization configs, batch shapes, threads, pickling and the wide-word
   fallback,
@@ -27,12 +27,6 @@ from repro.features.extractor import FeatureExtractor
 from repro.quant import QuantizationConfig, QuantizedSVM
 from repro.signals.windows import StreamingWindower, WindowingParams
 from repro.svm.model import train_svm
-
-
-class TinyWindower(StreamingWindower):
-    """Ring windower with a 4-slot initial buffer: every test wraps and grows."""
-
-    _INITIAL_CAPACITY = 4
 
 
 def _windows_equal(a, b):
@@ -70,7 +64,7 @@ def _stream_windows(params, times, amps, rng, resets=()):
     return out
 
 
-class TestRingWindowerProperty:
+class TestWindowerProperty:
     @given(
         n_beats=st.integers(0, 120),
         n_chunks=st.integers(1, 12),
@@ -79,11 +73,11 @@ class TestRingWindowerProperty:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_chunked_ring_matches_one_shot(
+    def test_chunked_push_matches_one_shot(
         self, n_beats, n_chunks, step_divisor, snapshot_at, seed
     ):
-        """Any chunking, wraparound, growth and a mid-stream snapshot/restore
-        emit exactly the windows of a single push of the whole stream."""
+        """Any chunking and a mid-stream snapshot/restore emit exactly the
+        windows of a single push of the whole stream."""
         rng = np.random.default_rng(seed)
         times, amps = _beat_stream(rng, n_beats)
         params = WindowingParams(
@@ -95,15 +89,14 @@ class TestRingWindowerProperty:
 
         boundaries = np.sort(rng.integers(0, n_beats + 1, size=n_chunks - 1))
         edges = np.concatenate(([0], boundaries, [n_beats])).astype(int)
-        ring = TinyWindower(params)
+        windower = StreamingWindower(params)
         emitted = []
         for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
             if k == snapshot_at % max(n_chunks, 1):
-                # Round-trip through the picklable snapshot mid-stream —
-                # possibly mid-wrap of the tiny ring buffer.
-                state = pickle.loads(pickle.dumps(ring.snapshot()))
-                ring = TinyWindower.from_snapshot(state)
-            emitted.extend(ring.push(times[lo:hi], amps[lo:hi]))
+                # Round-trip through the picklable snapshot mid-stream.
+                state = pickle.loads(pickle.dumps(windower.snapshot()))
+                windower = StreamingWindower.from_snapshot(state)
+            emitted.extend(windower.push(times[lo:hi], amps[lo:hi]))
 
         _windows_equal(expected, emitted)
 
@@ -111,10 +104,10 @@ class TestRingWindowerProperty:
         rng = np.random.default_rng(3)
         times, amps = _beat_stream(rng, 80)
         params = WindowingParams(window_s=8.0, step_s=2.0, min_beats=4)
-        ring = TinyWindower(params)
-        out = list(ring.push(times[:50], amps[:50]))
-        ring = TinyWindower.from_snapshot(ring.snapshot())
-        out.extend(ring.push(times[50:], amps[50:]))
+        windower = StreamingWindower(params)
+        out = list(windower.push(times[:50], amps[:50]))
+        windower = StreamingWindower.from_snapshot(windower.snapshot())
+        out.extend(windower.push(times[50:], amps[50:]))
         firsts = [w.first_beat_index for w in out]
         assert all(f >= 0 for f in firsts)
         assert firsts == sorted(firsts)

@@ -984,3 +984,97 @@ class TestGatewayLifecycle:
         stats = asyncio.run(run())
         assert stats.uptime_s == pytest.approx(4.0)
         assert stats.frames_per_s == pytest.approx(stats.frames_delivered / 4.0)
+
+
+# ---------------------------------------------------------------------------
+# The pump's idle wait: one timer per idle period
+# ---------------------------------------------------------------------------
+
+
+def _count_polls(fleet):
+    """Wrap ``fleet.maybe_drain`` (the pump's drain poll) with a call count."""
+    polls = [0]
+    poll = fleet.maybe_drain
+
+    def counted():
+        polls[0] += 1
+        return poll()
+
+    fleet.maybe_drain = counted
+    return polls
+
+
+class TestPumpIdleWait:
+    def test_idle_gateway_drains_within_a_poll_interval(self, quantized_detector, feature_matrix):
+        """No frame arrives, yet a time-based policy that comes due is
+        drained by the next idle tick, about one poll interval later."""
+        fake_now = [0.0]
+        poll_interval_s = 0.02
+
+        async def run():
+            fleet = MonitorFleet(
+                quantized_detector,
+                FS,
+                drain_policy=LatencyPolicy(10.0),
+                clock=lambda: fake_now[0],
+            )
+            gateway = IngestGateway(fleet, queue_depth=4, poll_interval_s=poll_interval_s)
+            await gateway.start()
+            fleet.enqueue([PendingWindow(0, 0.0, 180.0, 200, features=feature_matrix.X[0])])
+            await asyncio.sleep(3 * poll_interval_s)
+            quiet = list(gateway.decisions)
+            loop = asyncio.get_running_loop()
+            fake_now[0] = 11.0
+            due = loop.time()
+            while not gateway.decisions and loop.time() - due < 5.0:
+                await asyncio.sleep(poll_interval_s / 10)
+            waited = loop.time() - due
+            stats = gateway.stats()
+            await gateway.stop()
+            return quiet, waited, stats
+
+        quiet, waited, stats = asyncio.run(run())
+        assert quiet == []
+        assert stats.frames_received == 0 and stats.drains == 1
+        assert waited < 10 * poll_interval_s
+
+    def test_stop_during_an_idle_wait_adds_no_drain(self, quantized_detector, feature_matrix):
+        """stop() wakes a pump parked in a long idle wait at once, and that
+        wake is not an idle tick: only the final drain runs."""
+
+        async def run():
+            fleet = MonitorFleet(quantized_detector, FS, drain_policy=LatencyPolicy(1e9))
+            polls = _count_polls(fleet)
+            gateway = IngestGateway(fleet, queue_depth=4, poll_interval_s=60.0)
+            await gateway.start()
+            fleet.enqueue([PendingWindow(0, 0.0, 180.0, 200, features=feature_matrix.X[0])])
+            await asyncio.sleep(0.02)  # the pump parks in its idle wait
+            loop = asyncio.get_running_loop()
+            t0 = loop.time()
+            decisions = await gateway.stop()
+            return polls[0], loop.time() - t0, decisions, gateway.stats()
+
+        polls, stop_s, decisions, stats = asyncio.run(run())
+        assert polls == 0
+        assert stop_s < 5.0
+        assert len(decisions) == 1 and stats.drains == 1
+
+    def test_idle_ticks_start_no_tasks(self):
+        """Over 100 idle ticks the loop runs only the caller and the pump:
+        an idle wait is a timer, not a task."""
+
+        async def run():
+            fleet = MonitorFleet(_NoCallClassifier(), FS, drain_policy=LatencyPolicy(1e9))
+            polls = _count_polls(fleet)
+            gateway = IngestGateway(fleet, queue_depth=4, poll_interval_s=0.001)
+            await gateway.start()
+            expected = {asyncio.current_task(), gateway._pump_task}
+            counts = set()
+            while polls[0] < 100:
+                await asyncio.sleep(0.001)
+                assert asyncio.all_tasks() == expected
+                counts.add(len(asyncio.all_tasks()))
+            await gateway.stop()
+            return counts
+
+        assert asyncio.run(run()) == {2}

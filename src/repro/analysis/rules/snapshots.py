@@ -55,13 +55,14 @@ DEFAULT_SNAPSHOT_REGISTRY: Dict[str, SnapshotSpec] = {
     # adaptive-level seed anchor ``PeakDetectorState.seed_from`` (where the
     # post-gap level re-seed window starts).  Version 4: pending windows
     # carry their beat arrays until a drain featurises them, and
-    # ``MonitorState.n_usable`` is gone.  The nested states share the guard
-    # constant, so all three entries are re-pinned at the bumped version
-    # (``PeakDetectorState``'s fields are unchanged since version 3,
-    # ``WindowerState``'s since version 2).
+    # ``MonitorState.n_usable`` is gone.  Version 5:
+    # ``WindowerState.base_beat_index`` is gone.  The nested states share the
+    # guard constant, so all three entries are re-pinned at the bumped
+    # version (``MonitorState``'s fields are unchanged since version 4,
+    # ``PeakDetectorState``'s since version 3).
     "MonitorState": SnapshotSpec(
         version_const="MONITOR_STATE_VERSION",
-        version=4,
+        version=5,
         fields=(
             "version",
             "patient_id",
@@ -77,7 +78,7 @@ DEFAULT_SNAPSHOT_REGISTRY: Dict[str, SnapshotSpec] = {
     ),
     "PeakDetectorState": SnapshotSpec(
         version_const="MONITOR_STATE_VERSION",
-        version=4,
+        version=5,
         fields=(
             "fs",
             "params",
@@ -92,14 +93,13 @@ DEFAULT_SNAPSHOT_REGISTRY: Dict[str, SnapshotSpec] = {
     ),
     "WindowerState": SnapshotSpec(
         version_const="MONITOR_STATE_VERSION",
-        version=4,
+        version=5,
         fields=(
             "params",
             "beat_times_s",
             "r_amplitudes_mv",
             "window_start_s",
             "clock_s",
-            "base_beat_index",
         ),
     ),
 }

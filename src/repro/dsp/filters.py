@@ -1,10 +1,14 @@
 """Basic filtering primitives used across the feature-extraction chain.
 
 The per-window hot path calls :func:`moving_average` and :func:`detrend` on
-every analysis window, so both memoise the parts of their computation that
-depend only on the input *length* (the averaging kernel, the edge-count
-normaliser, the centred time grid) — pure functions of ``(n, width)`` /
-``n``, cached bounded, and bit-identical to recomputing them.
+every analysis window, so both memoise what they would otherwise rebuild on
+every call, bit-identical to recomputing it.  :func:`detrend` keeps the
+centred time grid per input length ``n``, cached bounded.
+:func:`moving_average` keeps one plan per *width*, whatever the length: the
+edge-count normaliser of ``np.convolve(np.ones(n), kernel, "same")`` is
+``width // 2`` left-edge counts, one inside constant and ``(width - 1) // 2``
+right-edge counts, and none of them depends on ``n`` (pinned for every
+length from ``width`` to ``width + 300`` and a few long ones).
 
 :func:`detrend_rows` detrends every row of a matrix of equal-length signals
 at once, for the batched training-cohort features: the same memoised grid,
@@ -31,8 +35,8 @@ __all__ = [
     "correlate_fir",
 ]
 
-#: (signal length, width) -> (kernel, clipped edge-count normaliser).
-_MA_CACHE: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+#: width -> (kernel, left-edge counts, inside count, right-edge counts).
+_MA_PLANS: Dict[int, Tuple[np.ndarray, np.ndarray, float, np.ndarray]] = {}
 #: signal length -> (centred time grid t, dot(t, t)).
 _DETREND_CACHE: Dict[int, Tuple[np.ndarray, float]] = {}
 #: Memoisation bound; cleared wholesale when exceeded (window lengths vary
@@ -51,23 +55,47 @@ def moving_average(x: np.ndarray, width: int) -> np.ndarray:
         Window width in samples; values smaller than 2 return a copy.
     """
     x = np.asarray(x, dtype=float)
+    width = int(width)
     if width < 2 or x.size == 0:
         return x.copy()
-    key = (x.size, int(width))
-    cached = _MA_CACHE.get(key)
-    if cached is None:
-        if len(_MA_CACHE) >= _CACHE_LIMIT:
-            _MA_CACHE.clear()
+    if x.size < width:
+        # ``np.convolve`` swaps its operands here (the result is ``width``
+        # long): keep its form.
         kernel = np.ones(width) / width
         counts = np.maximum(np.convolve(np.ones(x.size), kernel, mode="same"), 1e-12)
-        kernel.setflags(write=False)
-        counts.setflags(write=False)
-        cached = (kernel, counts)
-        _MA_CACHE[key] = cached
-    kernel, counts = cached
-    # 'same' convolution then fix the edges where the kernel was truncated.
-    smoothed = np.convolve(x, kernel, mode="same")
-    return smoothed / counts
+        return np.convolve(x, kernel, mode="same") / counts
+    return _smooth(x, width)
+
+
+def _smooth(x: np.ndarray, width: int) -> np.ndarray:
+    """:func:`moving_average` of a float64 ``x`` with ``2 <= width <= x.size``.
+
+    Every tap of the kernel is ``1/width``, so one ``np.correlate`` gives
+    ``np.convolve``'s bits without its reversed copy; each stretch of the
+    result is then divided in place by its plan count.
+    """
+    plan = _MA_PLANS.get(width) or _ma_plan(width)
+    smoothed = np.correlate(x, plan[0], "same")
+    left = plan[1].size
+    right = smoothed.size - plan[3].size
+    smoothed[:left] /= plan[1]
+    smoothed[left:right] /= plan[2]
+    smoothed[right:] /= plan[3]
+    return smoothed
+
+
+def _ma_plan(width: int) -> Tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """The kernel and edge-count normaliser of a ``width``-sample moving
+    average, read off a ``2·width``-sample signal and memoised per width."""
+    kernel = np.ones(width) / width
+    counts = np.maximum(np.convolve(np.ones(2 * width), kernel, mode="same"), 1e-12)
+    left = counts[: width // 2].copy()
+    right = counts[counts.size - (width - 1) // 2 :].copy()
+    for array in (kernel, left, right):
+        array.setflags(write=False)
+    plan = (kernel, left, float(counts[width // 2]), right)
+    _MA_PLANS[width] = plan
+    return plan
 
 
 def difference(x: np.ndarray) -> np.ndarray:

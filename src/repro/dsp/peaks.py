@@ -21,11 +21,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.dsp.filters import _MA_CACHE, apply_fir, bandpass_fir, correlate_fir, moving_average
+from repro.dsp.filters import _smooth, apply_fir, bandpass_fir, correlate_fir, moving_average
 
 __all__ = [
     "PanTompkinsParams",
@@ -96,12 +96,9 @@ def _integrated_energy(filtered: np.ndarray, integration_width: int) -> np.ndarr
     differences halved in the interior, one-sided differences at the edges —
     the same operations, without ``np.gradient``'s per-call set-up — then
     squared in place (``d * d`` is ``d**2`` bit for bit).  The integration
-    is :func:`~repro.dsp.filters.moving_average` without the wrapper: one
-    ``np.correlate`` against its memoised kernel, then its edge counts.
-    Every tap of the kernel is ``1/width``, so correlating with it is
-    ``np.convolve``'s result without the reversed copy.  A signal shorter
-    than the window (where ``np.convolve`` swaps its operands), or a length
-    not yet memoised, goes through ``moving_average`` itself.
+    is :func:`~repro.dsp.filters.moving_average`, through its per-width
+    plan: a pass of any length reuses the one plan of its width.  A signal
+    shorter than the window goes through ``moving_average`` itself.
     """
     if filtered.size < 2:
         np.gradient(filtered)  # ValueError: too few samples
@@ -111,13 +108,9 @@ def _integrated_energy(filtered: np.ndarray, integration_width: int) -> np.ndarr
     derivative[0] = filtered[1] - filtered[0]
     derivative[-1] = filtered[-1] - filtered[-2]
     derivative *= derivative
-    width = integration_width if integration_width > 1 else 1
-    plan = _MA_CACHE.get((derivative.size, width))
-    if plan is None or derivative.size < width:
-        return moving_average(derivative, width)
-    energy = np.correlate(derivative, plan[0], "same")
-    energy /= plan[1]
-    return energy
+    if integration_width < 2 or derivative.size < integration_width:
+        return moving_average(derivative, integration_width)
+    return _smooth(derivative, integration_width)
 
 
 def _seed_level(energy: np.ndarray) -> Optional[float]:
@@ -335,6 +328,13 @@ class StreamingPeakDetector:
     arrived, which makes the emitted beat sequence independent of how the
     stream is cut into chunks.
 
+    A caller that needs no beats yet can have :meth:`process` *hold* a chunk
+    instead (``hold=True``): the chunk is copied and counted as seen, and
+    nothing else runs.  The next pass, :meth:`snapshot` or :meth:`flush`
+    folds every held chunk into the buffer first, so by chunk-size
+    invariance that pass emits exactly the beats a detector that never held
+    would have emitted by then.
+
     Usage::
 
         detector = StreamingPeakDetector(fs)
@@ -345,11 +345,14 @@ class StreamingPeakDetector:
     Indices and times are absolute (relative to the first pushed sample).
     """
 
-    #: Derived, immutable configuration recomputed by ``__init__`` from
-    #: ``fs`` + ``params`` — deliberately not part of :class:`PeakDetectorState`
-    #: (the ``snapshot-completeness`` rule of :mod:`repro.analysis` pins this
-    #: list against the constructor).
+    #: Not part of :class:`PeakDetectorState` (the ``snapshot-completeness``
+    #: rule of :mod:`repro.analysis` pins this list against the constructor):
+    #: derived, immutable configuration recomputed by ``__init__`` from
+    #: ``fs`` + ``params``, and the held chunks, which :meth:`snapshot`
+    #: folds into ``buffer``.
     _SNAPSHOT_EXCLUDE = (
+        "_held",
+        "_n_held",
         "_taps",
         "_reversed_taps",
         "_refractory",
@@ -390,6 +393,10 @@ class StreamingPeakDetector:
 
         self._buffer = np.empty(0)
         self._buffer_start = 0  # absolute index of buffer[0]
+        #: Chunks held since the last fold, in their own dtypes, and their
+        #: sample count; they follow ``_buffer`` in the stream.
+        self._held: List[np.ndarray] = []
+        self._n_held = 0
         self._n_seen = 0  # total samples pushed so far
         self._finalized = 0  # absolute index up to which detection is final
         self._level: float | None = None
@@ -407,6 +414,18 @@ class StreamingPeakDetector:
         return self._n_seen / self.fs
 
     @property
+    def buffered_samples(self) -> int:
+        """Raw samples in memory: the carry-over buffer plus the held chunks."""
+        return self._buffer.size + self._n_held
+
+    @property
+    def context_samples(self) -> int:
+        """Raw samples a seeded pass leaves in the buffer: the look-back
+        context before the finalisation frontier and the held-back margin
+        after it."""
+        return self._context + self._margin
+
+    @property
     def finalized_time_s(self) -> float:
         """Stream time up to which peak detection is final (no new peaks can
         appear before it)."""
@@ -416,8 +435,11 @@ class StreamingPeakDetector:
         """Capture the full carry-over state as a picklable value object.
 
         The snapshot owns copies of the mutable pieces, so the detector can
-        keep streaming (or be discarded) without invalidating it.
+        keep streaming (or be discarded) without invalidating it.  Held
+        chunks are folded into ``buffer`` first.
         """
+        if self._held:
+            self._fold()
         return PeakDetectorState(
             fs=self.fs,
             params=replace(self.params),
@@ -448,8 +470,19 @@ class StreamingPeakDetector:
         detector._seed_from = int(state.seed_from)
         return detector
 
-    def process(self, chunk: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def process(
+        self, chunk: np.ndarray, hold: bool = False
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Push a chunk of raw ECG samples; return newly finalised peaks.
+
+        With ``hold=True`` the chunk is only held: copied in its own dtype
+        (a float32 wire frame stays float32 until the fold widens it to
+        float64, which is exact) and counted in :attr:`n_samples_seen`, with
+        no band-pass, energy or walk, and nothing is returned.  The held
+        samples are folded into the buffer, unchanged, by the next pass,
+        :meth:`snapshot` or :meth:`flush`, and a pass over them emits the
+        beats eager passes would have emitted by then.  A held chunk never
+        aliases the caller's array.
 
         Returns
         -------
@@ -457,14 +490,27 @@ class StreamingPeakDetector:
             Absolute sample indices, times and raw-sample amplitudes of the
             peaks finalised by this chunk (possibly empty).
         """
+        if hold:
+            held = np.array(chunk).ravel()
+            if held.dtype.kind != "f" or held.dtype.itemsize > 8:
+                held = held.astype(float)  # raises now on what is no sample
+            if held.size:
+                self._held.append(held)
+                self._n_held += held.size
+                self._n_seen += held.size
+            return _NO_PEAKS
         chunk = np.asarray(chunk, dtype=float).ravel()
-        if chunk.size:
+        self._n_seen += chunk.size
+        if self._held:
+            self._fold(chunk)
+        elif chunk.size:
             self._buffer = np.concatenate((self._buffer, chunk))
-            self._n_seen += chunk.size
         return self._detect(final=False)
 
     def flush(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Finalise the held-back tail at end of stream."""
+        if self._held:
+            self._fold()
         return self._detect(final=True)
 
     @property
@@ -500,6 +546,8 @@ class StreamingPeakDetector:
                 % (abs_sample, self._n_seen)
             )
         self._buffer = np.empty(0)
+        self._held = []
+        self._n_held = 0
         self._buffer_start = abs_sample
         self._n_seen = abs_sample
         self._finalized = abs_sample
@@ -508,6 +556,13 @@ class StreamingPeakDetector:
         self._seed_from = abs_sample
 
     # ------------------------------------------------------------- internals
+    def _fold(self, *tail: np.ndarray) -> None:
+        """Append every held chunk, then ``tail``, to the buffer, widened to
+        float64."""
+        self._buffer = np.concatenate((self._buffer, *self._held, *tail))
+        self._held = []
+        self._n_held = 0
+
     def _detect(self, final: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         margin = 0 if final else self._margin
         end_abs = self._n_seen - margin
@@ -566,14 +621,17 @@ class StreamingPeakDetector:
 
         The level is the 98th percentile of the finite energy in exactly the
         two seconds past ``_seed_from`` (the buffer still holds them: it is
-        only trimmed to ``_context`` before ``_seed_from``), so it does not
-        depend on how the stream was cut into chunks.  It waits for those
-        two seconds to arrive unless the stream is being flushed.  When they
-        hold no finite energy at all (a NaN/inf burst), the seed window
-        moves on by two seconds and nothing before it is detected.
+        only trimmed to ``_context`` before ``_seed_from``).  It waits for
+        those two seconds and the ``_margin`` samples after them to arrive,
+        unless the stream is being flushed: the energy of the window's last
+        samples reads the samples that follow it, so a seed taken while the
+        buffer ended inside that reach would depend on how the stream was
+        cut into chunks.  When the two seconds hold no finite energy at all
+        (a NaN/inf burst), the seed window moves on by two seconds and
+        nothing before it is detected.
         """
         span = max(int(2 * self.fs), 1)
-        while final or self._n_seen - self._seed_from >= span:
+        while final or self._n_seen - self._seed_from >= span + self._margin:
             lo = self._seed_from - self._buffer_start
             self._level = _seed_level(integrated[lo : lo + span])
             if self._level is not None:

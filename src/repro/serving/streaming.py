@@ -18,6 +18,7 @@ featurised, so a retry reads the same features.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
@@ -49,8 +50,9 @@ __all__ = [
 #: transport mode added ``MonitorState.n_gaps`` / ``windows_lost`` and
 #: ``PeakDetectorState.seed_from``.  Version 4: pending windows carry their
 #: beat arrays until a drain featurises them, and ``MonitorState.n_usable``
-#: is gone (usability is known only once a window is featurised).
-MONITOR_STATE_VERSION = 4
+#: is gone (usability is known only once a window is featurised).  Version
+#: 5: ``WindowerState.base_beat_index`` is gone.
+MONITOR_STATE_VERSION = 5
 
 #: The serving stack's feature extractor: stateless, so one serves every
 #: monitor and every drain.
@@ -327,8 +329,9 @@ class StreamingMonitor:
     #: Not captured by :meth:`snapshot`, and pinned so by the
     #: ``snapshot-completeness`` rule of :mod:`repro.analysis`: ``lossy`` is
     #: transport configuration owned by the fleet (a whole fleet is lossy or
-    #: strict, never patient by patient), reapplied by ``from_snapshot``.
-    _SNAPSHOT_EXCLUDE = ("lossy",)
+    #: strict, never patient by patient), reapplied by ``from_snapshot``;
+    #: ``_hold_limit`` is derived from the windowing and ``fs``.
+    _SNAPSHOT_EXCLUDE = ("lossy", "_hold_limit")
 
     def __init__(
         self,
@@ -343,6 +346,11 @@ class StreamingMonitor:
         self.lossy = bool(lossy)
         self._detector = StreamingPeakDetector(self.fs, detector_params)
         self._windower = StreamingWindower(windowing)
+        #: Most raw samples :meth:`push` lets the detector keep in memory
+        #: while it holds chunks: one window, plus what a pass leaves.
+        self._hold_limit = (
+            math.ceil(self._windower.params.window_s * self.fs) + self._detector.context_samples
+        )
         self._sequence = SequenceTracker()
         self._n_windows = 0
         self._n_gaps = 0
@@ -459,24 +467,53 @@ class StreamingMonitor:
         arithmetic is what keeps the monitor's clock aligned with the true
         stream, so a lossy push without one raises ``ValueError`` before
         touching any state.
+
+        The detector only *holds* the chunk (see
+        :meth:`StreamingPeakDetector.process
+        <repro.dsp.peaks.StreamingPeakDetector.process>`: no band-pass,
+        energy, walk or windower call) while the stream time after it,
+        ``n_samples_seen / fs``, is still below the end of the next window
+        (``window_start_s + window_s``).  The first push that reaches that
+        end runs one detector pass over everything held, and so does every
+        push after it until the window is emitted.  This cannot change a
+        window, nor the push that emits it: every beat the detector can emit
+        lies before ``n_samples_seen`` and the windower's clock is at most
+        the detector's finalised time, so no window can close on a push that
+        only holds; and from the first push that does detect, the detector
+        has emitted exactly the beats eager passes would have (its
+        chunk-size invariance).  Samples a gap drops (:meth:`note_gap`) are
+        dropped held or not.  The detector then holds about one window of
+        raw samples per patient (184 KB of float32 wire samples at 256 Hz
+        with the default 180 s windows); a hold that would take its memory
+        past one window plus its pass context (after a gap pushes the next
+        window's end far out) runs a pass instead.
         """
         if self.lossy and seq is None:
             raise ValueError("a lossy push must carry seq, the absolute sample offset of chunk[0]")
-        span = 0
+        chunk = np.asarray(chunk)
         if seq is not None:
             seq = int(seq)
             if self.lossy:
-                span = int(np.asarray(chunk).size)
                 if self._sequence.check_datagram(seq):
                     self.note_gap(seq)
             else:
                 self._sequence.check(seq)
-        indices, times, amplitudes = self._detector.process(chunk)
+        detector = self._detector
+        windower = self._windower
+        size = chunk.size
+        hold = (
+            (detector.n_samples_seen + size) / self.fs
+            < windower.window_start_s + windower.params.window_s
+            and detector.buffered_samples + size <= self._hold_limit
+        )
+        indices, times, amplitudes = detector.process(chunk, hold)
         # The absorption point: only now may the tracker move (by the
         # chunk's sample span in datagram mode, by one chunk otherwise).
         if seq is not None:
-            self._sequence.validate(seq, span=span if self.lossy else 1)
-        completed = self._windower.push(times, amplitudes, now_s=self._detector.finalized_time_s)
+            self._sequence.validate(seq, span=size if self.lossy else 1)
+        if hold:
+            return []
+        completed = windower.push(times, amplitudes, now_s=detector.finalized_time_s)
         return self._pending(completed)
 
     def note_gap(self, resume_sample: int) -> int:
@@ -496,9 +533,7 @@ class StreamingMonitor:
           the detector's warm-up guard — so the first post-gap window only
           covers samples whose detection no longer depends on the gap, and
           its start lands exactly where a lossless run would have put a
-          window.  The absolute beat index keeps counting past the dropped
-          beats, so no post-gap window's beats are numbered like pre-gap
-          ones.
+          window.
 
         Returns the number of grid windows abandoned (also accumulated in
         :attr:`windows_reset_by_gap`).  Raises ``ValueError`` when

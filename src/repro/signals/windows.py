@@ -127,13 +127,6 @@ class BeatWindow:
     *starting* beat falls inside the window, so it includes the interval
     spanning the window boundary whenever the first beat after the window has
     already been observed.
-
-    ``first_beat_index`` is the absolute index (counting every beat ever
-    pushed into the emitting :class:`StreamingWindower`, across retirements
-    and resets) of ``beat_times_s[0]``.  Overlapping windows emitted by one
-    windower therefore share absolute beat indices, and a window's beats can
-    be traced back to the stream that produced them.  ``-1`` means "unknown
-    provenance" (hand-built windows).
     """
 
     start_s: float
@@ -141,7 +134,6 @@ class BeatWindow:
     beat_times_s: np.ndarray
     rr_s: np.ndarray
     r_amplitudes_mv: np.ndarray
-    first_beat_index: int = -1
 
     @property
     def n_beats(self) -> int:
@@ -168,11 +160,6 @@ class WindowerState:
     r_amplitudes_mv: np.ndarray
     window_start_s: float
     clock_s: float
-    #: Absolute index of ``beat_times_s[0]`` in the windower's lifetime beat
-    #: stream (see :attr:`BeatWindow.first_beat_index`); preserved across
-    #: migration so a revived monitor keeps emitting windows whose beat
-    #: indices extend the original stream instead of restarting at zero.
-    base_beat_index: int = 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WindowerState):
@@ -183,7 +170,6 @@ class WindowerState:
             and np.array_equal(self.r_amplitudes_mv, other.r_amplitudes_mv)
             and self.window_start_s == other.window_start_s
             and self.clock_s == other.clock_s
-            and self.base_beat_index == other.base_beat_index
         )
 
 
@@ -234,9 +220,6 @@ class StreamingWindower:
         #: pair, computed when beat ``i+1`` arrives and reused by every
         #: window containing it.
         self._rr = np.empty(0)
-        #: Absolute beat index of ``_times[0]`` (monotone over the
-        #: windower's lifetime, including across :meth:`reset`).
-        self._base = 0
         self._start = 0.0
         self._clock = 0.0
 
@@ -259,7 +242,6 @@ class StreamingWindower:
             r_amplitudes_mv=self._amps.copy(),
             window_start_s=self._start,
             clock_s=self._clock,
-            base_beat_index=self._base,
         )
 
     @classmethod
@@ -270,7 +252,6 @@ class StreamingWindower:
         windower._times = times = np.array(state.beat_times_s, dtype=float, copy=True).ravel()
         windower._amps = np.array(state.r_amplitudes_mv, dtype=float, copy=True).ravel()
         windower._rr = times[1:] - times[:-1]
-        windower._base = int(getattr(state, "base_beat_index", 0))
         windower._start = float(state.window_start_s)
         windower._clock = float(state.clock_s)
         return windower
@@ -280,9 +261,7 @@ class StreamingWindower:
 
         The recovery primitive for sequence gaps (lossy transport): windows
         spanning the gap are abandoned instead of being emitted with a hole
-        in their beat data.  The absolute beat index keeps counting past the
-        dropped beats, so no post-gap window's ``first_beat_index`` repeats
-        a pre-gap one.
+        in their beat data.
 
         Returns the number of grid windows abandoned by the restart — the
         window starts in ``[old_start, start_s)`` that now can never be
@@ -291,7 +270,6 @@ class StreamingWindower:
         start_s = float(start_s)
         step = self.params.step_s
         abandoned = max(int(math.ceil((start_s - self._start) / step - 1e-9)), 0)
-        self._base += self._times.shape[0]
         self._times = self._amps = self._rr = np.empty(0)
         self._start = start_s
         self._clock = max(self._clock, start_s)
@@ -355,7 +333,6 @@ class StreamingWindower:
                     beat_times_s=times[first:last],
                     rr_s=self._rr[first:last],
                     r_amplitudes_mv=self._amps[first:last],
-                    first_beat_index=self._base + first,
                 )
             )
             self._start += self.params.step_s
@@ -364,7 +341,6 @@ class StreamingWindower:
                 self._times = times[keep:]
                 self._amps = self._amps[keep:]
                 self._rr = self._rr[keep:]
-                self._base += keep
         return out
 
 

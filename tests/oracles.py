@@ -10,8 +10,14 @@ Each function here is the straightforward loop the optimised code in
   lacked: infinite energy never fires);
 * :func:`apply_fir` — ``np.convolve`` over the edge-padded signal, the form
   behind ``repro.dsp.filters.apply_fir`` and ``correlate_fir``;
+* :func:`moving_average` — ``np.convolve`` with a kernel and an edge-count
+  normaliser built for the signal's own length, the form behind
+  ``repro.dsp.filters.moving_average`` and its per-width plans;
 * :class:`FullBufferDetector` — a streaming detector that band-passes its
   whole retained buffer on every pass, not just the span it walks;
+* :class:`EagerMonitor` — a streaming monitor that runs a detector pass and
+  a windower push on every chunk, the schedule behind the holding
+  ``repro.serving.streaming.StreamingMonitor.push``;
 * :func:`band_powers` — one ``np.add.reduce`` per band over the shared
   trapezoid panels, the loop behind ``repro.dsp.psd.band_powers``;
 * :func:`welch_psd` — Welch over a sliding-window view of every segment,
@@ -33,12 +39,13 @@ Each function here is the straightforward loop the optimised code in
 from __future__ import annotations
 
 import sys
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dsp.peaks import PanTompkinsParams, StreamingPeakDetector
 from repro.dsp.psd import _hann, _rfftfreq, band_power
+from repro.serving.streaming import PendingWindow, StreamingMonitor
 from repro.svm.smo import SMOParams, SMOResult, _compute_bias, _per_sample_c
 
 
@@ -88,12 +95,42 @@ def apply_fir(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return np.convolve(padded, taps, mode="full")[delay : delay + x.size]
 
 
+def moving_average(x: np.ndarray, width: int) -> np.ndarray:
+    """Centred moving average: ``np.convolve`` with ``ones(width)/width``,
+    divided by the same convolution of ``ones(x.size)``."""
+    x = np.asarray(x, dtype=float)
+    if width < 2 or x.size == 0:
+        return x.copy()
+    kernel = np.ones(width) / width
+    counts = np.maximum(np.convolve(np.ones(x.size), kernel, mode="same"), 1e-12)
+    return np.convolve(x, kernel, mode="same") / counts
+
+
 class FullBufferDetector(StreamingPeakDetector):
     """Filters the whole retained buffer on every pass."""
 
     def __init__(self, fs: float, params: PanTompkinsParams | None = None) -> None:
         super().__init__(fs, params)
         self._lead = self._lag = sys.maxsize
+
+
+class EagerMonitor(StreamingMonitor):
+    """Runs a detector pass and a windower push on every chunk, holding
+    nothing."""
+
+    def push(self, chunk: np.ndarray, seq: int | None = None) -> List[PendingWindow]:
+        if seq is not None:
+            seq = int(seq)
+            if self.lossy:
+                if self._sequence.check_datagram(seq):
+                    self.note_gap(seq)
+            else:
+                self._sequence.check(seq)
+        indices, times, amplitudes = self._detector.process(chunk)
+        if seq is not None:
+            self._sequence.validate(seq, span=np.asarray(chunk).size if self.lossy else 1)
+        completed = self._windower.push(times, amplitudes, now_s=self._detector.finalized_time_s)
+        return self._pending(completed)
 
 
 def band_powers(

@@ -98,7 +98,7 @@ def test_async_rule_is_path_gated():
 
 def test_snapshot_registry_detects_stale_pin_after_bump():
     text = (
-        "MONITOR_STATE_VERSION = 5\n"
+        "MONITOR_STATE_VERSION = 6\n"
         "\n"
         "class MonitorState:\n"
         "    version: int\n"
@@ -115,12 +115,12 @@ def test_snapshot_registry_detects_stale_pin_after_bump():
     )
     report = run_source(text, path="repro/serving/streaming.py")
     assert len(report.findings) == 1
-    assert "still records version 4" in report.findings[0].message
+    assert "still records version 5" in report.findings[0].message
 
 
 def test_snapshot_registry_detects_bump_without_layout_change():
     text = (
-        "MONITOR_STATE_VERSION = 5\n"
+        "MONITOR_STATE_VERSION = 6\n"
         "\n"
         "class MonitorState:\n"
         "    version: int\n"
@@ -136,7 +136,7 @@ def test_snapshot_registry_detects_bump_without_layout_change():
     )
     report = run_source(text, path="repro/serving/streaming.py")
     assert len(report.findings) == 1
-    assert "pins MonitorState at version 4" in report.findings[0].message
+    assert "pins MonitorState at version 5" in report.findings[0].message
 
 
 def test_wire_rule_rejects_unregistered_version():

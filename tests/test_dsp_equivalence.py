@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.dsp import peaks
+from repro.dsp import filters, peaks
 from repro.dsp.ar import ar_burg, ar_burg_rows
 from repro.dsp.filters import apply_fir, correlate_fir, detrend, detrend_rows, moving_average
 from repro.dsp.moments import mean, sample_std
@@ -43,6 +43,7 @@ from repro.features.extractor import FeatureExtractor, extract_cohort_features
 from repro.features.hrv import HF_BAND, LF_BAND, hrv_features
 from repro.features.lorenz import lorenz_features
 from repro.features.psd_features import PSD_BANDS, psd_features, psd_features_rows
+from repro.signals.dataset import CohortParams, generate_cohort
 from repro.signals.ecg_model import ECGWaveformParams, synthesize_ecg
 from repro.signals.respiration import generate_respiration
 from repro.signals.rr_model import RRModelParams, generate_rr_series
@@ -253,6 +254,45 @@ def test_correlate_fir_matches_np_convolve(fs):
         assert _same_bits(apply_fir(x, taps), expected), n
 
 
+#: The detector's integration widths at 64, 128, 256 and 512 Hz, and the
+#: EDR smoother's.
+_MA_WIDTHS = [int(0.150 * fs) for fs in (64.0, 128.0, 256.0, 512.0)] + [3]
+
+
+@pytest.mark.parametrize("width", _MA_WIDTHS)
+def test_moving_average_plan_matches_np_convolve(width):
+    """One plan per width gives, at every length, the bits of
+    ``np.convolve`` with a normaliser built for that length."""
+    rng = np.random.default_rng(width)
+    lengths = list(range(1, width + 301)) + [1009, 4096, 23040, 46081]
+    for n in lengths:
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5)
+        expected = oracles.moving_average(x, width)
+        assert _same_bits(moving_average(x, width), expected), n
+        if n >= 2:
+            derivative = np.gradient(x) ** 2
+            assert _same_bits(
+                peaks._integrated_energy(x, width), oracles.moving_average(derivative, width)
+            ), n
+
+
+@pytest.mark.parametrize("fs", [64.0, 128.0, 256.0, 512.0])
+def test_detector_keeps_one_integration_plan(fs):
+    """Passes of ever-changing length share the one plan of their width:
+    the moving-average memo grows by one entry, not one per length."""
+    rng = np.random.default_rng(int(fs))
+    sizes = rng.integers(1, int(6 * fs), size=60)
+    x = rng.standard_normal(int(sizes.sum()))
+    before = set(filters._MA_PLANS)
+    detector = StreamingPeakDetector(fs)
+    lo = 0
+    for size in sizes:
+        detector.process(x[lo : lo + size])
+        lo += size
+    detector.flush()
+    assert set(filters._MA_PLANS) - before <= {detector._integration}
+
+
 # --------------------------------------------------------------------------
 # Non-finite samples in the level-seed window
 # --------------------------------------------------------------------------
@@ -303,6 +343,35 @@ def test_non_finite_stream_keeps_a_bounded_buffer():
         assert indices.size == 0
     assert detector.snapshot().level is None
     assert detector.snapshot().buffer.size <= int(2 * fs) + 512 + detector._context
+
+
+def test_seed_level_does_not_depend_on_the_chunking():
+    """The seed waits for the samples its window's last energy values read,
+    so a stream cut one sample at a time seeds, walks and ends with the
+    level of a one-shot stream to the bit (this lead's seed window ends
+    near a beat, where a buffer ending at the window's end used to bend
+    the energy)."""
+    fs = 64.0
+    params = ECGWaveformParams(fs=fs)
+    cohort = generate_cohort(
+        CohortParams(
+            n_patients=1, n_sessions=1, session_duration_s=1000.0, total_seizures=0,
+            seed=1, ecg_params=params,
+        )
+    )
+    recording = cohort.recordings[0]
+    x = synthesize_ecg(
+        recording.beat_times_s, 120.0, recording.respiration, np.random.default_rng(1),
+        params=params,
+    ).ecg_mv
+    results = []
+    for size in (x.size, 1, 64):
+        detector = StreamingPeakDetector(fs)
+        beats = [detector.process(x[lo : lo + size])[0] for lo in range(0, x.size, size)]
+        beats.append(detector.flush()[0])
+        results.append((np.concatenate(beats).tolist(), detector.snapshot().level))
+    assert results[1] == results[0]
+    assert results[2] == results[0]
 
 
 def test_finite_seed_is_unchanged_by_the_finite_filter():

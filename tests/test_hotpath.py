@@ -8,8 +8,7 @@ computation.  These tests pin that contract:
 
 * a hypothesis property that the windower (pushed in random chunks, with a
   snapshot/restore mid-stream) emits windows bit-identical to a one-shot
-  push of the same beats, and that absolute beat indices stay monotone
-  across restores and resets,
+  push of the same beats,
 * fused-kernel parity against the reference per-row path across random
   quantization configs, batch shapes, threads, pickling and the wide-word
   fallback,
@@ -34,7 +33,6 @@ def _windows_equal(a, b):
     for wa, wb in zip(a, b):
         assert wa.start_s == wb.start_s
         assert wa.end_s == wb.end_s
-        assert wa.first_beat_index == wb.first_beat_index
         assert np.array_equal(wa.beat_times_s, wb.beat_times_s)
         assert np.array_equal(wa.rr_s, wb.rr_s)
         assert np.array_equal(wa.r_amplitudes_mv, wb.r_amplitudes_mv)
@@ -45,23 +43,6 @@ def _beat_stream(rng, n_beats):
     times = np.cumsum(rr)
     amps = 1.0 + 0.3 * rng.standard_normal(n_beats)
     return times, amps
-
-
-def _stream_windows(params, times, amps, rng, resets=()):
-    """Windows emitted from a chunked stream, with optional mid-stream resets.
-
-    ``resets`` holds chunk indices; before pushing that chunk the windower is
-    reset to the chunk's first beat time (a gap in the stream).
-    """
-    windower = StreamingWindower(params)
-    edges = np.sort(rng.integers(0, times.shape[0] + 1, size=6))
-    edges = np.concatenate(([0], edges, [times.shape[0]])).astype(int)
-    out = []
-    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        if k in resets and hi > lo:
-            windower.reset(float(times[lo]) - 0.01)
-        out.extend(windower.push(times[lo:hi], amps[lo:hi]))
-    return out
 
 
 class TestWindowerProperty:
@@ -99,29 +80,6 @@ class TestWindowerProperty:
             emitted.extend(windower.push(times[lo:hi], amps[lo:hi]))
 
         _windows_equal(expected, emitted)
-
-    def test_absolute_beat_index_survives_restore(self):
-        rng = np.random.default_rng(3)
-        times, amps = _beat_stream(rng, 80)
-        params = WindowingParams(window_s=8.0, step_s=2.0, min_beats=4)
-        windower = StreamingWindower(params)
-        out = list(windower.push(times[:50], amps[:50]))
-        windower = StreamingWindower.from_snapshot(windower.snapshot())
-        out.extend(windower.push(times[50:], amps[50:]))
-        firsts = [w.first_beat_index for w in out]
-        assert all(f >= 0 for f in firsts)
-        assert firsts == sorted(firsts)
-
-    def test_absolute_beat_index_monotone_across_resets(self):
-        """A windower reset (stream gap) drops the partial windows but keeps
-        counting beats, so no post-gap window reuses a pre-gap beat index."""
-        rng = np.random.default_rng(12)
-        times, amps = _beat_stream(rng, 600)
-        params = WindowingParams(window_s=30.0, step_s=7.5, min_beats=8)
-        windows = _stream_windows(params, times, amps, rng, resets={2, 4})
-        firsts = [w.first_beat_index for w in windows]
-        assert len(firsts) >= 5
-        assert firsts == sorted(firsts)
 
 
 def _random_model(rng, n_samples=40, n_features=6):
